@@ -16,9 +16,15 @@ The scaled form removes the fast oscillation from the right-hand side (for
 constant coefficients theta' is exactly omega), which is what makes high
 eigenvalue indices affordable.  In both forms theta(b; L) increases through
 the boundary-angle targets one pi per index, so every eigenvalue is found by
-bracketed iteration on the phase miss with its index guaranteed.  The phase
-ODE is integrated with an adaptive embedded Dormand-Prince 5(4) pair,
-vectorized across the batch of eigenvalue candidates.
+bracketed iteration on the phase miss with its index guaranteed.  That
+iteration is Illinois regula falsi (Dowell & Jarratt 1971): the kept
+endpoint's miss is halved only when the same endpoint has been kept twice in
+a row, and an index whose bracket has not halved over its last two
+iterations takes a bisection step instead.  The phase ODE is integrated with
+the adaptive embedded Dormand-Prince 5(4) pair, stages written out as in
+the DOPRI5 code of Hairer, Norsett & Wanner (first stage of a step = last
+stage of the step before), vectorized across the batch of eigenvalue
+candidates.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .core import (
     inner_product_rho,
     make_grid,
 )
+from .expressions import compile_scalar
 
 __all__ = [
     "SpectralDecomposition",
@@ -55,28 +62,19 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# The root iteration stops once hi - lo <= ROOT_RTOL * max(1, |hi|).
+ROOT_RTOL = 1e-13
+# |lambda| <= ZERO_EIGENVALUE_TOL reads as lambda = 0: ten stopping
+# tolerances, where max(1, |lambda|) = 1.
+ZERO_EIGENVALUE_TOL = 10.0 * ROOT_RTOL
+
 
 class EigenvalueBracketError(RuntimeError):
     """An eigenvalue could not be bracketed inside the scan window."""
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) tableau
-
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+# Dormand-Prince 5(4)
 
 
 def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
@@ -97,23 +95,43 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
     targets = [z1] if z_out is None else list(z_out)
     out = np.empty((len(targets), ncomp, n)) if z_out is not None else None
 
+    def f(zs, ys):
+        return rhs(zs, ys, lams, ncomp)
+
     z = z0
-    k = np.empty((7, ncomp, n))
+    k1 = f(z, y)
     for i_t, zt in enumerate(targets):
         while z < zt - 1e-15 * max(1.0, abs(zt)):
             h = min(dz, zt - z)
             while True:
-                k[0] = rhs(z, y, lams, ncomp)
-                for i in range(1, 7):
-                    yi = y + h * np.tensordot(_DP_A[i], k[:i], axes=(0, 0))
-                    k[i] = rhs(z + _DP_C[i] * h, yi, lams, ncomp)
-                y5 = y + h * np.tensordot(_DP_B5, k, axes=(0, 0))
-                errv = h * np.tensordot(_DP_ERR, k, axes=(0, 0))
-                err = np.abs(errv) / (atol + rtol * np.maximum(np.abs(y5), np.abs(y)))
+                k2 = f(z + 0.2 * h, y + h * (0.2 * k1))
+                k3 = f(z + 0.3 * h, y + h * (3 / 40 * k1 + 9 / 40 * k2))
+                k4 = f(z + 0.8 * h, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+                y5 = y + h * (
+                    19372 / 6561 * k1 - 25360 / 2187 * k2
+                    + 64448 / 6561 * k3 - 212 / 729 * k4
+                )
+                k5 = f(z + 8 / 9 * h, y5)
+                y6 = y + h * (
+                    9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                    + 49 / 176 * k4 - 5103 / 18656 * k5
+                )
+                k6 = f(z + h, y6)
+                # 5th-order solution; its slope k7 is the next step's k1
+                ynew = y + h * (
+                    35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                    - 2187 / 6784 * k5 + 11 / 84 * k6
+                )
+                k7 = f(z + h, ynew)
+                errv = h * (
+                    71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                    - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7
+                )
+                err = np.abs(errv) / (atol + rtol * np.maximum(np.abs(ynew), np.abs(y)))
                 emax = float(np.max(err)) if err.size else 0.0
                 if emax <= 1.0:
                     z += h
-                    y = y5
+                    y, k1 = ynew, k7
                     grow = 0.9 * emax ** -0.2 if emax > 1e-8 else 5.0
                     dz = h * min(5.0, max(0.2, grow))
                     break
@@ -127,14 +145,14 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
 
 class _PlainRHS:
     def __init__(self, prob: SLProblem):
-        self.p, self.q, self.rho = prob.p, prob.q, prob.rho
+        self.coeffs = compile_scalar(prob.p, prob.q, prob.rho)
 
     def initial_step(self, lams, span):
         freq = math.sqrt(max(float(np.max(np.abs(lams))), 1.0))
         return max(min(0.1 / freq, abs(span) * 0.25), 1e-12)
 
     def __call__(self, z, y, lams, ncomp):
-        pz, qz, rz = self.p(z), self.q(z), self.rho(z)
+        pz, qz, rz = self.coeffs(z)
         th = y[0]
         s, c = np.sin(th), np.cos(th)
         out = np.empty_like(y)
@@ -148,17 +166,15 @@ class _ScaledRHS:
     """Valid only where L rho - q > 0 for every batch member."""
 
     def __init__(self, prob: SLProblem):
-        self.p, self.q, self.rho = prob.p, prob.q, prob.rho
-        self.dp = prob.dp
-        self.dq = prob.q.derivative()
-        self.drho = prob.rho.derivative()
+        self.coeffs = compile_scalar(
+            prob.p, prob.q, prob.rho, prob.dp, prob.q.derivative(), prob.rho.derivative()
+        )
 
     def initial_step(self, lams, span):
         return max(min(0.01, abs(span) * 0.25), 1e-12)
 
     def __call__(self, z, y, lams, ncomp):
-        pz, qz, rz = self.p(z), self.q(z), self.rho(z)
-        dpz, dqz, drz = self.dp(z), self.dq(z), self.drho(z)
+        pz, qz, rz, dpz, dqz, drz = self.coeffs(z)
         u = lams * rz - qz  # > 0 by mode selection
         du = lams * drz - dqz
         omega = np.sqrt(u / pz)
@@ -327,14 +343,14 @@ class _Shooter:
             sub = lams[sel]
             th0 = np.array([self.theta_a(l, use_scaled) for l in sub])
             states = _integrate(
-                rhs, sub, self.a, self.b, th0, self.rtol, z_out=zg, amplitude=True
+                rhs, sub, self.a, self.b, th0, self.rtol,
+                z_out=np.append(zg, self.b), amplitude=True,
             )
-            ends = _integrate(rhs, sub, self.a, self.b, th0, self.rtol, amplitude=True)
             for j, i in enumerate(sel):
                 lam = sub[j]
-                theta = states[:, 0, j]
-                amp = np.exp(states[:, 1, j])
-                th_b, amp_b = ends[0, j], math.exp(ends[1, j])
+                theta = states[:-1, 0, j]
+                amp = np.exp(states[:-1, 1, j])
+                th_b, amp_b = states[-1, 0, j], math.exp(states[-1, 1, j])
                 if use_scaled:
                     s_nodes = np.sqrt(p_g * (lam * rho_g - q_g))
                     values = amp * np.sin(theta) / s_nodes
@@ -429,21 +445,27 @@ def solve_spectrum(
 
     # Illinois iteration, vectorized over the unconverged indices
     active = np.ones(N, dtype=bool)
-    for it in range(200):
-        active &= (hi - lo) > 1e-13 * np.maximum(1.0, np.abs(hi))
+    last = np.zeros(N)  # endpoint the last iteration replaced: -1 lo, +1 hi
+    width1 = np.full(N, np.inf)  # bracket widths one and two iterations ago
+    width2 = np.full(N, np.inf)
+    for _ in range(200):
+        active &= (hi - lo) > ROOT_RTOL * np.maximum(1.0, np.abs(hi))
         if not active.any():
             break
         idx = np.where(active)[0]
         x = (lo[idx] * fhi[idx] - hi[idx] * flo[idx]) / (fhi[idx] - flo[idx])
         w = hi[idx] - lo[idx]
         x = np.clip(x, lo[idx] + 1e-3 * w, hi[idx] - 1e-3 * w)
-        if it % 3 == 2:  # periodic bisection guard
-            x = 0.5 * (lo[idx] + hi[idx])
+        # bisect where the bracket did not halve over the last two iterations
+        stalled = w > 0.5 * width2[idx]
+        x[stalled] = 0.5 * (lo[idx] + hi[idx])[stalled]
+        width2[idx], width1[idx] = width1[idx], w
         fx = sh.miss(x, kvec[idx])
         neg = fx < 0.0
-        # Illinois weighting keeps the stalled endpoint moving
-        fhi[idx[neg & (flo[idx] < 0)]] *= 0.5
-        flo[idx[~neg & (fhi[idx] > 0)]] *= 0.5
+        # the same endpoint replaced twice in a row: halve the kept one's miss
+        fhi[idx[neg & (last[idx] < 0)]] *= 0.5
+        flo[idx[~neg & (last[idx] > 0)]] *= 0.5
+        last[idx] = np.where(neg, -1.0, 1.0)
         lo[idx[neg]], flo[idx[neg]] = x[neg], fx[neg]
         hi[idx[~neg]], fhi[idx[~neg]] = x[~neg], fx[~neg]
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["CoeffExpr", "ExprSyntaxError", "parse_coeff"]
+__all__ = ["CoeffExpr", "ExprSyntaxError", "compile_scalar", "parse_coeff"]
 
 _FUNCS = ("exp", "sin", "cos", "sqrt")
 
@@ -333,19 +333,12 @@ class CoeffExpr:
     def __call__(self, z):
         if np.isscalar(z):
             if self._scalar is None:
-                self._scalar = self._compile_scalar()
-            return self._scalar(z)
+                self._scalar = compile_scalar(self)
+            return self._scalar(z)[0]
         return np.broadcast_to(
             np.asarray(_evaluate(self.ast, np.asarray(z, dtype=float), np)),
             np.shape(z),
         ).astype(float, copy=True)
-
-    def _compile_scalar(self):
-        # generated from our own AST, never from raw user text
-        src = _unparse(self.ast).replace("^", "**")
-        env = {fn: getattr(math, fn) for fn in _FUNCS}
-        env["__builtins__"] = {}
-        return eval(f"lambda z: ({src})", env)  # noqa: S307
 
     def derivative(self) -> "CoeffExpr":
         d = _simplify(_diff(self.ast))
@@ -362,6 +355,19 @@ class CoeffExpr:
 
     def __repr__(self):
         return f"CoeffExpr({self.source!r})"
+
+
+def compile_scalar(*exprs: CoeffExpr):
+    """One callable z -> (e_1(z), ..., e_k(z)) for a scalar z.
+
+    Each value is what e_i(z) returns on its own.  Callers that need several
+    coefficients at the same point make one call instead of k.
+    """
+    # generated from our own AST, never from raw user text
+    src = ", ".join(_unparse(e.ast).replace("^", "**") for e in exprs)
+    env = {fn: getattr(math, fn) for fn in _FUNCS}
+    env["__builtins__"] = {}
+    return eval(f"lambda z: ({src},)", env)  # noqa: S307
 
 
 def parse_coeff(source: str) -> CoeffExpr:

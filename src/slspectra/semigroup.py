@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigensolve import ModalCoefficients, SpectralDecomposition
+from .eigensolve import ZERO_EIGENVALUE_TOL, ModalCoefficients, SpectralDecomposition
 from .fracspace import FractionalSpace, norm_alpha
 
 __all__ = [
@@ -87,9 +87,14 @@ def trajectory(
 
 
 def is_exponentially_stable(dec: SpectralDecomposition) -> Tuple[bool, float]:
-    """(stable, decay rate): stable iff gamma < 0, rate = -gamma when stable."""
+    """(stable, decay rate): stable iff gamma < 0, rate = -gamma when stable.
+
+    A gamma within ZERO_EIGENVALUE_TOL of 0 is solver round-off of a zero
+    eigenvalue and reads as 0, so it is not stable.
+    """
     gamma = dec.gamma
-    return bool(gamma < 0.0), (-gamma if gamma < 0.0 else 0.0)
+    stable = gamma < -ZERO_EIGENVALUE_TOL
+    return stable, (-gamma if stable else 0.0)
 
 
 def is_compact(dec_or_eigs) -> bool:
@@ -97,7 +102,8 @@ def is_compact(dec_or_eigs) -> bool:
 
     True when only finitely many eigenvalues are >= 0 within the window
     (strictly fewer than N) and the sequence is strictly decreasing, the
-    behaviour an SL spectrum must show.
+    behaviour an SL spectrum must show.  Eigenvalues within
+    ZERO_EIGENVALUE_TOL of 0 count as 0.
     """
     if isinstance(dec_or_eigs, SpectralDecomposition):
         lam = dec_or_eigs.eigenvalues
@@ -105,7 +111,7 @@ def is_compact(dec_or_eigs) -> bool:
         lam = np.asarray(dec_or_eigs, dtype=np.float64)
     if lam.size == 0:
         raise ValueError("empty eigenvalue sequence")
-    nonneg = int(np.sum(lam >= 0.0))
+    nonneg = int(np.sum(lam >= -ZERO_EIGENVALUE_TOL))
     decreasing = bool(np.all(np.diff(lam) < 0.0))
     return nonneg < lam.size and decreasing
 

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from slspectra.core import GridFunction, bc_residual, grid_function, inner_product_rho
+import slspectra.eigensolve as eigensolve
+from slspectra.core import (
+    GridFunction,
+    SLProblem,
+    bc_residual,
+    grid_function,
+    inner_product_rho,
+)
 from slspectra.eigensolve import (
     ModalCoefficients,
     SpectralDecomposition,
@@ -132,3 +139,71 @@ def test_eigenvalue_count_matches_oracle(transformed_dec50, model):
 def test_invalid_inputs(dirichlet_problem):
     with pytest.raises(ValueError):
         solve_spectrum(dirichlet_problem, N=0)
+
+
+def test_solver_work_counts(monkeypatch, model):
+    # Illinois halves the kept endpoint's miss only after the same endpoint is
+    # replaced twice; halving on every iteration (with forced bisections)
+    # needed 49 and 93 integrations here.
+    counts = {"integrate": 0, "rhs": 0}
+    integrate = eigensolve._integrate
+
+    def counting_integrate(*args, **kwargs):
+        counts["integrate"] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "_integrate", counting_integrate)
+    for cls in (eigensolve._PlainRHS, eigensolve._ScaledRHS):
+
+        def counting_call(self, *args, _call=cls.__call__):
+            counts["rhs"] += 1
+            return _call(self, *args)
+
+        monkeypatch.setattr(cls, "__call__", counting_call)
+
+    cases = [
+        (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
+         20, 25, 60_000),
+        (dcr_sl_problem(model), 10, 35, 50_000),
+    ]
+    for prob, N, max_integrate, max_rhs in cases:
+        counts.update(integrate=0, rhs=0)
+        solve_spectrum(prob, N=N)
+        assert counts["integrate"] <= max_integrate, counts
+        assert counts["rhs"] <= max_rhs, counts
+
+
+class _CosRHS:
+    """theta' = cos z + 0.5: theta(b) = theta(a) + sin b - sin a + (b - a) / 2."""
+
+    def initial_step(self, lams, span):
+        return 0.01
+
+    def __call__(self, z, y, lams, ncomp):
+        return np.full_like(y, math.cos(z) + 0.5)
+
+    def exact(self, a, b, theta0):
+        return theta0 + math.sin(b) - math.sin(a) + 0.5 * (b - a)
+
+
+class _LinearRHS(_CosRHS):
+    """theta' = theta cos z, so the stage arguments matter too."""
+
+    def __call__(self, z, y, lams, ncomp):
+        return y * math.cos(z)
+
+    def exact(self, a, b, theta0):
+        return theta0 * math.exp(math.sin(b) - math.sin(a))
+
+
+@pytest.mark.parametrize("rhs", [_CosRHS(), _LinearRHS()], ids=["cos", "linear"])
+def test_integrator_closed_form(rhs):
+    a, b, theta0 = 0.0, 3.0, np.array([0.25, 1.0])
+    end = eigensolve._integrate(rhs, np.zeros(2), a, b, theta0, 1e-12)
+    exact = [rhs.exact(a, b, t) for t in theta0]
+    assert np.max(np.abs(end[0] - exact)) <= 1e-11
+    # stopping at intermediate outputs keeps the end state as accurate
+    z_out = [0.5, 1.7, b]
+    rows = eigensolve._integrate(rhs, np.zeros(2), a, b, theta0, 1e-12, z_out=z_out)
+    for zt, row in zip(z_out, rows):
+        assert np.max(np.abs(row[0] - [rhs.exact(a, zt, t) for t in theta0])) <= 1e-11
