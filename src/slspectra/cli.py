@@ -23,7 +23,8 @@ import time
 from typing import List, Optional, Tuple
 
 import numpy as np
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .core import (
@@ -110,26 +111,15 @@ CONFIG_SCHEMA = {
     ],
 }
 
+# built once: jsonschema.validate would re-check the meta-schema per call;
+# best_match picks the same error jsonschema.validate would raise
+CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
 VERIFY_SUITES = ("core", "eigs", "fracspace", "semigroup", "casestudy", "all")
 
 
 class InputError(Exception):
     pass
-
-
-def _threads_from_env() -> int:
-    """Validate SL_SPECTRA_THREADS (0 = auto).  Currently informational:
-    the numerical kernels are single-process numpy."""
-    raw = os.environ.get("SL_SPECTRA_THREADS")
-    if raw is None:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"SL_SPECTRA_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise InputError("SL_SPECTRA_THREADS must be >= 0")
-    return n
 
 
 def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], dict]:
@@ -142,10 +132,9 @@ def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], dict]:
         raise InputError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"config is not valid JSON: {exc}")
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"config rejected by schema: {exc.message}")
+    error = best_match(CONFIG_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise InputError(f"config rejected by schema: {error.message}")
 
     if "preset" in doc:
         name = doc["preset"]
@@ -558,7 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             # argparse exits 2 on usage errors; that slot means tolerance
             # violation here, so remap (help/version keep their 0)
             return EXIT_OK if exc.code == 0 else EXIT_INPUT
-        _threads_from_env()
         if args.command == "observe" and args.config is None and args.synthetic is None:
             raise InputError("observe needs a config file or --synthetic")
         return args.fn(args, argv)

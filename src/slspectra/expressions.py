@@ -101,9 +101,11 @@ def _tokenize(source: str):
                     j = k
             text = source[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ExprSyntaxError(f"bad number literal {text!r}", i)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"non-finite number literal {text!r}", i)
             tokens.append(("num", text, i))
             i = j
             continue

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import SLProblem
 
@@ -146,7 +147,9 @@ def crank_nicolson(
     """Trapezoidal stepping of x' = A_h x from x0 to time t.
 
     Full steps of dt followed by one fractional step; each step solves the
-    tridiagonal system (I - dt/2 A_h) x+ = (I + dt/2 A_h) x.
+    tridiagonal system (I - dt/2 A_h) x+ = (I + dt/2 A_h) x.  The matrix is
+    LU-factored (pivoted, LAPACK gttrf) once per step size, so a step costs
+    one matvec and one gttrs solve.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -155,19 +158,33 @@ def crank_nicolson(
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != op.nodes.shape:
         raise ValueError("x0 shape does not match mesh")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
 
-    def step(x, tau):
-        rhs = x + (tau / 2.0) * op.matvec(x)
-        ab = np.zeros((3, op.size))
-        ab[0, 1:] = -(tau / 2.0) * op.sup[:-1]
-        ab[1] = 1.0 - (tau / 2.0) * op.diag
-        ab[2, :-1] = -(tau / 2.0) * op.sub[1:]
-        return solve_banded((1, 1), ab, rhs)
+    def stepper(tau):
+        h = tau / 2.0
+        dl, d, du = -h * op.sub[1:], 1.0 - h * op.diag, -h * op.sup[:-1]
+        if not all(np.isfinite(v).all() for v in (dl, d, du)):
+            raise ValueError("I - tau/2 A_h must be finite")
+        lu = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if lu[-1] > 0:
+            raise LinAlgError("singular matrix")
+
+        def step(x):
+            # gttrs on the gttrf factors is the elimination gtsv (and so
+            # solve_banded((1, 1), ...)) performs: bit-identical results
+            return dgttrs(*lu[:-1], x + h * op.matvec(x), overwrite_b=1)[0]
+
+        return step
 
     nfull = int(np.floor(t / dt + 1e-12))
-    for _ in range(nfull):
-        x = step(x, dt)
+    if nfull:
+        step = stepper(dt)
+        for _ in range(nfull):
+            x = step(x)
     rem = t - nfull * dt
     if rem > 1e-14 * max(t, 1.0):
-        x = step(x, rem)
+        x = stepper(rem)(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("Crank-Nicolson produced non-finite values")
     return x

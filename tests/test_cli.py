@@ -6,8 +6,9 @@ import os
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
-from slspectra.cli import main
+from slspectra.cli import CONFIG_SCHEMA, main
 
 
 @pytest.fixture()
@@ -71,6 +72,19 @@ def test_schema_rejection_exits_1(tmp_path, capsys):
     cfg.write_text(json.dumps({"preset": "unknown"}))
     assert main(["eigs", str(cfg)]) == 1
     assert main(["eigs", str(tmp_path / "missing.json")]) == 1
+
+
+def test_config_schema_is_valid_and_rejections_name_the_cause(tmp_path, capsys):
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"preset": "x"}))
+    capsys.readouterr()
+    assert main(["eigs", str(cfg)]) == 1
+    # the message jsonschema.validate gives: best_match over all errors
+    assert capsys.readouterr().err == (
+        "error: config rejected by schema: "
+        "'x' is not one of ['dirichlet', 'neumann', 'dcr']\n"
+    )
 
 
 def test_simulate_time_zero_is_projection(dirichlet_config, tmp_path):
@@ -157,9 +171,8 @@ def test_determinism_byte_identical(dcr_config, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_threads_env_validation(dirichlet_config, monkeypatch, capsys):
+def test_threads_env_is_ignored(dirichlet_config, monkeypatch, capsys):
+    # SL_SPECTRA_THREADS is no longer read, so no value of it is an error
     monkeypatch.setenv("SL_SPECTRA_THREADS", "abc")
-    assert main(["eigs", dirichlet_config, "--modes", "2"]) == 1
-    monkeypatch.setenv("SL_SPECTRA_THREADS", "4")
     assert main(["eigs", dirichlet_config, "--modes", "2"]) == 0
     capsys.readouterr()

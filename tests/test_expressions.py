@@ -66,6 +66,21 @@ def test_syntax_error_reports_offset():
         parse_coeff("")
 
 
+@pytest.mark.parametrize("src, offset", [("1e400", 0), ("z + 2*1E+999", 6)])
+def test_non_finite_literal_rejected_at_parse(src, offset):
+    # rejected before either evaluation path (scalar lambda, numpy array)
+    # can see it: they used to disagree (inf on arrays, NameError on scalars)
+    with pytest.raises(ExprSyntaxError, match="non-finite number literal") as exc:
+        parse_coeff(src)
+    assert exc.value.offset == offset
+
+
+def test_largest_finite_literal_evaluates_on_both_paths():
+    e = parse_coeff("1e308 * z")
+    assert e(1.0) == 1e308
+    assert np.array_equal(e(np.array([0.0, 1.0])), np.array([0.0, 1e308]))
+
+
 def test_variable_exponent_has_no_symbolic_derivative():
     e = parse_coeff("2 ^ z")
     with pytest.raises(ValueError):

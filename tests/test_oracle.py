@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from slspectra.core import SLProblem
-from slspectra.oracle import assemble, crank_nicolson, fd_eigs
+from slspectra.oracle import FDOperator, assemble, crank_nicolson, fd_eigs
 from slspectra.casestudy import dcr_sl_problem, transformed_problem
 
 
@@ -85,6 +86,68 @@ def test_crank_nicolson_fractional_final_step(dirichlet_problem):
     x = crank_nicolson(op, x0, 0.0105, 1e-3)
     exact = x0 * math.exp(vals[0] * 0.0105)
     assert op.norm_rho(x - exact) / op.norm_rho(exact) < 1e-6
+
+
+def _crank_nicolson_per_step(op, x0, t, dt):
+    """Reference: rebuild and solve the banded system at every step."""
+    def step(x, tau):
+        rhs = x + (tau / 2.0) * op.matvec(x)
+        ab = np.zeros((3, op.size))
+        ab[0, 1:] = -(tau / 2.0) * op.sup[:-1]
+        ab[1] = 1.0 - (tau / 2.0) * op.diag
+        ab[2, :-1] = -(tau / 2.0) * op.sub[1:]
+        return solve_banded((1, 1), ab, rhs)
+
+    x = np.array(x0, dtype=float)
+    nfull = int(np.floor(t / dt + 1e-12))
+    for _ in range(nfull):
+        x = step(x, dt)
+    rem = t - nfull * dt
+    if rem > 1e-14 * max(t, 1.0):
+        x = step(x, rem)
+    return x
+
+
+@pytest.mark.parametrize("which", ["dcr", "neumann"])
+def test_crank_nicolson_matches_per_step_solve_exactly(model, which):
+    if which == "dcr":
+        prob = transformed_problem(model)
+    else:
+        prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
+    op = assemble(prob, M=200)
+    x0 = np.cos(3.0 * op.nodes) + op.nodes ** 2
+    # 10 full steps of dt plus a remainder step, each with its own factors
+    x = crank_nicolson(op, x0, 0.0105, 1e-3)
+    assert np.array_equal(x, _crank_nicolson_per_step(op, x0, 0.0105, 1e-3))
+
+
+def test_crank_nicolson_singular_system_raises(dirichlet_problem):
+    dt = 1e-3
+    n = 20
+    op = FDOperator(
+        dirichlet_problem, n + 1, 1.0 / (n + 1), np.linspace(0.05, 0.95, n),
+        np.zeros(n), np.full(n, 2.0 / dt), np.zeros(n), np.full(n, 0.05),
+    )
+    assert np.all(1.0 - (dt / 2.0) * op.diag == 0.0)  # I - dt/2 A_h is zero
+    with pytest.raises(LinAlgError):
+        crank_nicolson(op, np.ones(n), 0.01, dt)
+
+
+def test_crank_nicolson_rejects_non_finite_state(dirichlet_problem):
+    op = assemble(dirichlet_problem, M=32)
+    x0 = np.sin(math.pi * op.nodes)
+    x0[5] = np.nan
+    with pytest.raises(ValueError):
+        crank_nicolson(op, x0, 0.01, 1e-3)
+
+
+def test_crank_nicolson_time_zero_returns_copy(dirichlet_problem):
+    op = assemble(dirichlet_problem, M=32)
+    x0 = np.sin(math.pi * op.nodes)
+    x = crank_nicolson(op, x0, 0.0, 1e-3)
+    assert np.array_equal(x, x0)
+    x[0] = 7.0
+    assert x0[0] != 7.0
 
 
 def test_assemble_validation(dirichlet_problem):
