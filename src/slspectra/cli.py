@@ -290,15 +290,15 @@ def cmd_simulate(args, argv) -> int:
         if model is not None:
             x0_fd = x0_fd * np.exp(-op.nodes / (2.0 * model.D))
         discrepancies = []
+        # step on from the previous time's state (kappa is applied in closed form)
+        x_fd, t_prev = x0_fd, 0.0
         for i, ti in enumerate(times):
             xs = np.interp(op.nodes, dec.grid.nodes,
                            synthesize(traj.state(i)).values)
-            if ti == 0.0:
-                x_fd = x0_fd
-            else:
-                x_fd = crank_nicolson(op, x0_fd, float(ti), args.oracle_dt)
-                x_fd = x_fd * math.exp(-kappa * ti)
-            discrepancies.append(op.norm_rho(xs - x_fd))
+            if ti > t_prev:
+                x_fd = crank_nicolson(op, x_fd, float(ti - t_prev), args.oracle_dt)
+                t_prev = ti
+            discrepancies.append(op.norm_rho(xs - x_fd * math.exp(-kappa * ti)))
         doc["oracle"] = {
             "cells": args.oracle_cells,
             "dt": args.oracle_dt,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+import slspectra.cli as cli
 from slspectra.cli import CONFIG_SCHEMA, main
 
 
@@ -122,6 +123,26 @@ def test_simulate_verify_against_oracle(dcr_config, tmp_path):
     doc = json.loads(open(out).read())
     assert doc["kappa"] == pytest.approx(1.0)
     assert max(doc["oracle"]["l2_discrepancy"]) <= 1e-3
+
+
+def test_simulate_verify_steps_on_between_times(dcr_config, tmp_path, monkeypatch):
+    # the oracle continues from the previous time instead of restarting at 0
+    spans = []
+    crank_nicolson = cli.crank_nicolson
+
+    def recording(op, x0, t, dt):
+        spans.append(t)
+        return crank_nicolson(op, x0, t, dt)
+
+    monkeypatch.setattr(cli, "crank_nicolson", recording)
+    out = str(tmp_path / "simv.json")
+    assert main([
+        "simulate", dcr_config, "--x0", "1", "--times", "0,0.05,0.1234,0.3",
+        "--modes", "32", "--verify", "--out", out,
+    ]) == 0
+    assert len(spans) == 3
+    assert sum(spans) == pytest.approx(0.3, rel=1e-15, abs=0.0)
+    assert max(json.loads(open(out).read())["oracle"]["l2_discrepancy"]) <= 1e-3
 
 
 def test_simulate_bad_times_exits_1(dirichlet_config, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,10 +142,9 @@ def test_invalid_inputs(dirichlet_problem):
         solve_spectrum(dirichlet_problem, N=0)
 
 
-def test_solver_work_counts(monkeypatch, model):
-    # Illinois halves the kept endpoint's miss only after the same endpoint is
-    # replaced twice; halving on every iteration (with forced bisections)
-    # needed 49 and 93 integrations here.
+@pytest.fixture()
+def work_counts(monkeypatch):
+    """Counts `_integrate` calls and Pruefer RHS evaluations."""
     counts = {"integrate": 0, "rhs": 0}
     integrate = eigensolve._integrate
 
@@ -160,7 +160,14 @@ def test_solver_work_counts(monkeypatch, model):
             return _call(self, *args)
 
         monkeypatch.setattr(cls, "__call__", counting_call)
+    return counts
 
+
+def test_solver_work_counts(work_counts, model):
+    # Illinois halves the kept endpoint's miss only after the same endpoint is
+    # replaced twice; halving on every iteration (with forced bisections)
+    # needed 49 and 93 integrations here.
+    counts = work_counts
     cases = [
         (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
          20, 25, 60_000),
@@ -171,6 +178,21 @@ def test_solver_work_counts(monkeypatch, model):
         solve_spectrum(prob, N=N)
         assert counts["integrate"] <= max_integrate, counts
         assert counts["rhs"] <= max_rhs, counts
+
+
+def test_recovery_reads_dense_output(work_counts):
+    # Constant coefficients need a few steps; stopping at each of the 512 grid
+    # nodes would cost over 3000 RHS calls per Pruefer form.
+    decs = {}
+    for name, bc, max_rhs in (("dirichlet", (0.0, 1.0), 2000), ("neumann", (1.0, 0.0), 3000)):
+        work_counts.update(rhs=0)
+        decs[name] = solve_spectrum(SLProblem.from_strings(0.0, 1.0, "1", "0", "1", bc, bc), N=50)
+        assert work_counts["rhs"] <= max_rhs, (name, work_counts)
+    z = decs["dirichlet"].grid.nodes
+    for n, f in enumerate(decs["dirichlet"].eigenfunctions, start=1):
+        w = n * math.pi
+        assert np.max(np.abs(f.values - math.sqrt(2.0) * np.sin(w * z))) <= 1e-10, n
+        assert np.max(np.abs(f.deriv / w - math.sqrt(2.0) * np.cos(w * z))) <= 1e-10, n
 
 
 class _CosRHS:
@@ -202,8 +224,54 @@ def test_integrator_closed_form(rhs):
     end = eigensolve._integrate(rhs, np.zeros(2), a, b, theta0, 1e-12)
     exact = [rhs.exact(a, b, t) for t in theta0]
     assert np.max(np.abs(end[0] - exact)) <= 1e-11
-    # stopping at intermediate outputs keeps the end state as accurate
-    z_out = [0.5, 1.7, b]
+    # the dense output between steps is as accurate as the end state
+    z_out = np.linspace(a, b, 61)[1:]
     rows = eigensolve._integrate(rhs, np.zeros(2), a, b, theta0, 1e-12, z_out=z_out)
     for zt, row in zip(z_out, rows):
         assert np.max(np.abs(row[0] - [rhs.exact(a, zt, t) for t in theta0])) <= 1e-11
+
+
+def test_dense_output_matches_scipy_interpolant():
+    # scipy's RK45 writes the same DOPRI5 continuous extension as a power basis
+    from scipy.integrate import RK45
+
+    rng = np.random.default_rng(3)
+    K = rng.standard_normal((7, 2, 3))
+    y, h = rng.standard_normal((2, 3)), 0.37
+    ynew = y + h * np.tensordot(RK45.B, K[:6], 1)
+    theta = np.linspace(0.0, 1.0, 11)
+    got = eigensolve._dense(theta, y, ynew, h, K[0], *K[2:])
+    powers = theta[:, None] ** np.arange(1, 5)
+    want = y + h * np.tensordot(powers, np.tensordot(RK45.P.T, K, 1), 1)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "z_out, match",
+    [([0.5, 0.2, 3.0], "0.2 follows 0.5"), ([0.5, 3.5], "3.5 is outside"),
+     ([-0.1, 1.0], "-0.1 is outside")],
+)
+def test_integrate_rejects_bad_z_out(z_out, match):
+    with pytest.raises(ValueError, match=match):
+        eigensolve._integrate(_CosRHS(), np.zeros(1), 0.0, 3.0, np.zeros(1), 1e-12, z_out=z_out)
+
+
+class _NaNRHS(eigensolve._PlainRHS):
+    """Finite up to z = 1, NaN past it."""
+
+    def __init__(self):
+        pass
+
+    def __call__(self, z, y, lams, ncomp):
+        return np.full_like(y, 1.0 if z <= 1.0 else math.nan)
+
+
+def test_step_underflow_names_where():
+    with pytest.raises(RuntimeError) as info:
+        eigensolve._integrate(_NaNRHS(), np.array([2.0, 5.0]), 0.0, 3.0, np.zeros(2), 1e-12)
+    msg = str(info.value)
+    assert msg.startswith("plain Pruefer ODE step size underflow"), msg
+    assert "lambda in [2.0, 5.0]" in msg, msg
+    z = float(re.search(r"z=(\S+),", msg).group(1))
+    h = float(re.search(r"h=(\S+),", msg).group(1))
+    assert 0.9 < z <= 1.0 and 0.0 < h < 3e-14, msg  # 1e-14 * max(1, |z1|)
