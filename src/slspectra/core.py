@@ -205,10 +205,15 @@ class SLProblem:
         if self.dp is None:
             object.__setattr__(self, "dp", self.p.derivative())
         z = np.linspace(self.interval.a, self.interval.b, 65)
-        if np.any(self.p(z) <= 0):
-            raise ValueError("p must be positive on the interval")
-        if np.any(self.rho(z) <= 0):
-            raise ValueError("rho must be positive on the interval")
+        with np.errstate(all="ignore"):
+            samples = [("p", self.p(z), 0.0), ("rho", self.rho(z), 0.0), ("q", self.q(z), -np.inf)]
+        for name, v, floor in samples:
+            # tests what must hold, since NaN compares False with everything
+            bad = np.flatnonzero(~(np.isfinite(v) & (v > floor)))
+            if bad.size:
+                what = "finite" if floor == -np.inf else "finite and positive"
+                zi, vi = float(z[bad[0]]), float(v[bad[0]])
+                raise ValueError(f"{name} must be {what} on the interval: {name}({zi!r}) = {vi!r}")
 
     @staticmethod
     def from_strings(a, b, p, q, rho, bc_a, bc_b, dp=None) -> "SLProblem":
@@ -328,58 +333,31 @@ def find_root(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """Brent's method: inverse quadratic / secant with a bisection fallback.
+    """Brent's method (scipy's brentq): inverse quadratic / secant with a
+    bisection fallback.
 
     Requires a sign change on [lo, hi]; the bracket width at return is <= tol
-    (plus a machine-epsilon floor proportional to the root magnitude).
+    (plus a machine-epsilon floor proportional to the root magnitude).  After
+    max_iter iterations the last iterate is returned.
     """
-    a, b = float(lo), float(hi)
-    fa, fb = fn(a), fn(b)
-    if not (np.isfinite(fa) and np.isfinite(fb)):
-        raise BracketError("non-finite function value at bracket endpoint")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]")
+    # imported here: scipy.optimize is slow to import, and only this needs it
+    from scipy.optimize import brentq
 
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p_, q_ = 2.0 * xm * s, 1.0 - s
-            else:
-                q_, r_ = fa / fc, fb / fc
-                p_ = s * (2.0 * xm * q_ * (q_ - r_) - (b - a) * (r_ - 1.0))
-                q_ = (q_ - 1.0) * (r_ - 1.0) * (s - 1.0)
-            if p_ > 0.0:
-                q_ = -q_
-            p_ = abs(p_)
-            if 2.0 * p_ < min(3.0 * xm * q_ - abs(tol1 * q_), abs(e * q_)):
-                e, d = d, p_ / q_
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else np.copysign(tol1, xm)
-        fb = fn(b)
-        if not np.isfinite(fb):
-            raise BracketError(f"non-finite function value at {b}")
-    return b
+    def checked(x: float) -> float:
+        fx = fn(x)
+        if not np.isfinite(fx):
+            raise BracketError(f"non-finite function value at {x}")
+        return fx
+
+    try:
+        return brentq(
+            checked, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
+            maxiter=max_iter, disp=False,
+        )
+    except BracketError:
+        raise
+    except ValueError as exc:  # brentq's own checks: no sign change, bad tol
+        raise BracketError(f"{exc} on [{lo}, {hi}]") from exc
 
 
 # ---------------------------------------------------------------------------

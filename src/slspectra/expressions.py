@@ -197,29 +197,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation, differentiation, unparsing
-
-
-def _evaluate(node: Node, z, lib):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return z
-    if isinstance(node, Neg):
-        return -_evaluate(node.arg, z, lib)
-    if isinstance(node, BinOp):
-        a = _evaluate(node.left, z, lib)
-        b = _evaluate(node.right, z, lib)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a ** b
-    return getattr(lib, node.func)(_evaluate(node.arg, z, lib))
+# Differentiation, unparsing, compilation
 
 
 def _diff(node: Node) -> Node:
@@ -273,8 +251,14 @@ def _simplify(node: Node) -> Node:
         return Call(node.func, _simplify(node.arg))
     if isinstance(node, BinOp):
         a, b = _simplify(node.left), _simplify(node.right)
-        if isinstance(a, Num) and isinstance(b, Num) and node.op != "^":
-            return Num(_evaluate(BinOp(node.op, a, b), 0.0, math))
+        if isinstance(a, Num) and isinstance(b, Num):
+            # a fold that raises (1/0, (-1)^0.5) or overflows stays as it is
+            const = BinOp(node.op, a, b)
+            try:
+                (value,) = _compile([const], math)(0.0)
+            except (ArithmeticError, ValueError):
+                return const
+            return Num(value) if math.isfinite(value) else const
         if node.op == "*":
             if isinstance(a, Num):
                 if a.value == 0.0:
@@ -299,18 +283,35 @@ def _simplify(node: Node) -> Node:
     return node
 
 
-def _unparse(node: Node) -> str:
-    # fully parenthesized except for atoms, so reparsing is unambiguous
+def _unparse(node: Node, python: bool = False) -> str:
+    """Fully parenthesized text that reparses to an equal-valued expression;
+    with python=True "^" is spelled pow(a, b), the source _compile runs."""
     if isinstance(node, Num):
-        v = node.value
-        return repr(v)
+        # a folded negative constant is parenthesized so that "^" takes it whole
+        neg = math.copysign(1.0, node.value) < 0
+        return f"({node.value!r})" if neg else repr(node.value)
     if isinstance(node, Var):
         return "z"
     if isinstance(node, Neg):
-        return f"(-{_unparse(node.arg)})"
+        return f"(-{_unparse(node.arg, python)})"
     if isinstance(node, BinOp):
-        return f"({_unparse(node.left)}{node.op}{_unparse(node.right)})"
-    return f"{node.func}({_unparse(node.arg)})"
+        a, b = _unparse(node.left, python), _unparse(node.right, python)
+        return f"pow({a}, {b})" if python and node.op == "^" else f"({a}{node.op}{b})"
+    return f"{node.func}({_unparse(node.arg, python)})"
+
+
+def _compile(asts, lib):
+    """The only evaluator: z -> (value of each AST at z), with lib's functions.
+
+    lib=math is for Python-float scalars and raises outside a function's
+    domain, where lib=np gives inf or nan; neither gives a complex number.
+    """
+    env = {fn: getattr(lib, fn) for fn in _FUNCS}
+    env["pow"] = math.pow if lib is math else np.power
+    env["__builtins__"] = {}
+    # generated from our own AST, never from raw user text
+    src = ", ".join(_unparse(ast, python=True) for ast in asts)
+    return eval(f"lambda z: ({src},)", env)  # noqa: S307
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +331,17 @@ class CoeffExpr:
             ast = _Parser(source).parse()
         self.source = source
         self.ast = ast
-        self._scalar = None
+        self._scalar = self._array = None
 
     def __call__(self, z):
         if np.isscalar(z):
             if self._scalar is None:
-                self._scalar = compile_scalar(self)
+                self._scalar = _compile([self.ast], math)
             return self._scalar(z)[0]
+        if self._array is None:
+            self._array = _compile([self.ast], np)
         return np.broadcast_to(
-            np.asarray(_evaluate(self.ast, np.asarray(z, dtype=float), np)),
+            np.asarray(self._array(np.asarray(z, dtype=float))[0]),
             np.shape(z),
         ).astype(float, copy=True)
 
@@ -365,11 +368,7 @@ def compile_scalar(*exprs: CoeffExpr):
     Each value is what e_i(z) returns on its own.  Callers that need several
     coefficients at the same point make one call instead of k.
     """
-    # generated from our own AST, never from raw user text
-    src = ", ".join(_unparse(e.ast).replace("^", "**") for e in exprs)
-    env = {fn: getattr(math, fn) for fn in _FUNCS}
-    env["__builtins__"] = {}
-    return eval(f"lambda z: ({src},)", env)  # noqa: S307
+    return _compile([e.ast for e in exprs], math)
 
 
 def parse_coeff(source: str) -> CoeffExpr:

@@ -132,6 +132,13 @@ def test_find_root_and_bracket_error():
     )
     with pytest.raises(BracketError):
         find_root(lambda s: s * s + 1.0, 0.0, 1.0)
+    with pytest.raises(BracketError, match="non-finite"):
+        find_root(lambda s: math.inf if s == 2.0 else math.cos(s), 1.0, 2.0)
+    with pytest.raises(BracketError, match="non-finite"):
+        find_root(lambda s: math.cos(s) if s in (1.0, 2.0) else math.nan, 1.0, 2.0)
+    # out of iterations: the last iterate, not an error
+    r = find_root(math.cos, 1.0, 2.0, max_iter=2)
+    assert 1.0 < r < 2.0 and abs(r - math.pi / 2.0) > 1e-13
 
 
 def test_coefficient_positivity_enforced():
@@ -139,6 +146,20 @@ def test_coefficient_positivity_enforced():
         SLProblem.from_strings(0.0, 1.0, "z - 0.5", "0", "1", (0.0, 1.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         SLProblem.from_strings(0.0, 1.0, "1", "0", "-1", (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "a, b, p, q, message",
+    [
+        # NaN passed "p <= 0" and scalar p(-0.5) was complex
+        (-1.0, 1.0, "1 + z^0.5", "0", r"p must be finite and positive .* p\(-1\.0\) = nan"),
+        (0.0, 1.0, "1", "1/(z-0.5)", r"q must be finite .* q\(0\.5\) = inf"),
+    ],
+    ids=["nan_p", "inf_q"],
+)
+def test_non_finite_coefficient_samples_rejected(a, b, p, q, message):
+    with pytest.raises(ValueError, match=message):
+        SLProblem.from_strings(a, b, p, q, "1", (0.0, 1.0), (0.0, 1.0))
 
 
 def test_bc_tuple_validation():

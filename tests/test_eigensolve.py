@@ -180,6 +180,18 @@ def test_solver_work_counts(work_counts, model):
         assert counts["rhs"] <= max_rhs, counts
 
 
+def test_folded_negative_constant_in_q():
+    # q' is 1; the fold 1-2 = -1 used to be emitted as -1.0^2.0, which reads
+    # -(1^2), and the eigenvalues moved 3.4e-4 off the FD oracle
+    lams = [
+        solve_spectrum(
+            SLProblem.from_strings(0.0, 1.0, "1", q, "1", (1.0, -0.5), (1.0, 0.5)), N=5
+        ).eigenvalues
+        for q in ("(1-2)^2*z", "z")
+    ]
+    assert np.array_equal(lams[0], lams[1])
+
+
 def test_recovery_reads_dense_output(work_counts):
     # Constant coefficients need a few steps; stopping at each of the 512 grid
     # nodes would cost over 3000 RHS calls per Pruefer form.
