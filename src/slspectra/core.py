@@ -198,12 +198,17 @@ class SLProblem:
     bc_a: Tuple[float, float]
     bc_b: Tuple[float, float]
     dp: CoeffExpr = None  # type: ignore[assignment]
+    # q' and rho' are derived, never copied: replace() must not keep stale ones
+    dq: CoeffExpr = field(init=False, repr=False, compare=False)
+    drho: CoeffExpr = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bc_a == (0.0, 0.0) or self.bc_b == (0.0, 0.0):
             raise ValueError("boundary condition pair must not be (0, 0)")
         if self.dp is None:
             object.__setattr__(self, "dp", self.p.derivative())
+        object.__setattr__(self, "dq", self.q.derivative())
+        object.__setattr__(self, "drho", self.rho.derivative())
         z = np.linspace(self.interval.a, self.interval.b, 65)
         with np.errstate(all="ignore"):
             samples = [("p", self.p(z), 0.0), ("rho", self.rho(z), 0.0), ("q", self.q(z), -np.inf)]

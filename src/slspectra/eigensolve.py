@@ -16,21 +16,21 @@ The scaled form removes the fast oscillation from the right-hand side (for
 constant coefficients theta' is exactly omega), which is what makes high
 eigenvalue indices affordable.  In both forms theta(b; L) increases through
 the boundary-angle targets one pi per index, so every eigenvalue is found by
-bracketed iteration on the phase miss with its index guaranteed.  That
-iteration is Illinois regula falsi (Dowell & Jarratt 1971): the kept
-endpoint's miss is halved only when the same endpoint has been kept twice in
-a row, and an index whose bracket has not halved over its last two
-iterations takes a bisection step instead.  The phase ODE is integrated with
-the adaptive embedded Dormand-Prince 5(4) pair, stages written out as in
-the DOPRI5 code of Hairer, Norsett & Wanner (first stage of a step = last
-stage of the step before), vectorized across the batch of eigenvalue
-candidates.  Eigenfunctions on the grid come from the DOPRI5 continuous
-extension (HNW II.6, contd5): the steps run from a to b as the controller
-chooses, and the nodes inside each accepted step are filled from its seven
-stages at no extra RHS cost.  That interpolant is 4th order, one below the
-step, so dense-output integrations run at DENSE_TOL_FACTOR times rtol and
-atol, which keeps interpolated nodes as accurate as step endpoints.
-The eigenvalue search never asks for dense output.
+bracketed iteration on the phase miss with its index guaranteed.  A round
+of that search costs one integration whatever its batch width, so rounds,
+not lambda values, are what it saves (multi-point search, as in SLEIGN2 and
+Pryce 1993, ch. 5): each open bracket evaluates its secant estimate and a
+fan of points around it, then keeps the tightest sign change among them.
+The phase ODE is integrated with the adaptive embedded Dormand-Prince 5(4)
+pair, stages written out as in the DOPRI5 code of Hairer, Norsett & Wanner
+(first stage of a step = last stage of the step before), vectorized across
+the batch of eigenvalue candidates.  Eigenfunctions on the grid come from the
+DOPRI5 continuous extension (HNW II.6, contd5): the steps run from a to b as
+the controller chooses, and the nodes inside each accepted step are filled
+from its seven stages at no extra RHS cost.  That interpolant is 4th order,
+one below the step, so dense-output integrations run at DENSE_TOL_FACTOR
+times rtol and atol, which keeps interpolated nodes as accurate as step
+endpoints.  The eigenvalue search never asks for dense output.
 """
 
 from __future__ import annotations
@@ -70,13 +70,15 @@ SCHEMA_VERSION = 1
 
 # The root iteration stops once hi - lo <= ROOT_RTOL * max(1, |hi|).
 ROOT_RTOL = 1e-13
+# Fan points on each side of the secant estimate in each search round.
+FAN = 4
 # |lambda| <= ZERO_EIGENVALUE_TOL reads as lambda = 0: ten stopping
 # tolerances, where max(1, |lambda|) = 1.
 ZERO_EIGENVALUE_TOL = 10.0 * ROOT_RTOL
 
 
 class EigenvalueBracketError(RuntimeError):
-    """An eigenvalue could not be bracketed inside the scan window."""
+    """An eigenvalue could not be bracketed, or its bracket did not close."""
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +229,7 @@ class _ScaledRHS:
     form = "scaled"
 
     def __init__(self, prob: SLProblem):
-        self.coeffs = compile_scalar(
-            prob.p, prob.q, prob.rho, prob.dp, prob.q.derivative(), prob.rho.derivative()
-        )
+        self.coeffs = compile_scalar(prob.p, prob.q, prob.rho, prob.dp, prob.dq, prob.drho)
 
     def initial_step(self, lams, span):
         return max(min(0.01, abs(span) * 0.25), 1e-12)
@@ -345,48 +345,45 @@ class _Shooter:
 
     def is_scaled(self, lams: np.ndarray) -> np.ndarray:
         margin = 1.0
-        m = np.min(lams[:, None] * self.rho_s[None, :] - self.q_s[None, :], axis=1)
-        return m >= margin
+        # a lower bound on min(lambda rho - q) over the nodes settles most lambdas
+        low = np.minimum(lams * self.rho_s.min(), lams * self.rho_s.max()) - self.q_s.max()
+        out = low >= margin
+        rest = np.flatnonzero(~out)
+        out[rest] = np.min(lams[rest, None] * self.rho_s - self.q_s, axis=1) >= margin
+        return out
 
-    def _s_at(self, lam, z_end: str) -> float:
+    def _s_at(self, lams, z_end: str):
         if z_end == "a":
-            return math.sqrt(self.p_a * (lam * self.rho_a - self.q_a))
-        return math.sqrt(self.p_b * (lam * self.rho_b - self.q_b))
+            return np.sqrt(self.p_a * (lams * self.rho_a - self.q_a))
+        return np.sqrt(self.p_b * (lams * self.rho_b - self.q_b))
 
-    def theta_a(self, lam: float, use_scaled: bool) -> float:
-        alpha, beta = self.prob.bc_a
-        s_fac = self._s_at(lam, "a") if use_scaled else 1.0
-        th = math.atan2(-alpha * s_fac, self.p_a * beta)
-        while th < 0.0:
-            th += math.pi
-        while th >= math.pi:
-            th -= math.pi
-        return th
+    def theta(self, lams: np.ndarray, use_scaled: bool, z_end: str) -> np.ndarray:
+        """Boundary angle per lambda: in [0, pi) at z_end "a", in (0, pi] at "b"."""
+        alpha, beta = self.prob.bc_a if z_end == "a" else self.prob.bc_b
+        s_fac = self._s_at(lams, z_end) if use_scaled else np.ones_like(lams)
+        th = np.arctan2(-alpha * s_fac, (self.p_a if z_end == "a" else self.p_b) * beta)
+        if z_end == "a":  # th is in [-pi, pi]
+            return np.where(th < 0.0, th + math.pi, np.where(th >= math.pi, th - math.pi, th))
+        th = np.where(th <= 0.0, th + math.pi, th)
+        return np.where(th <= 0.0, th + math.pi, th)  # -pi takes two turns
 
-    def theta_b(self, lam: float, use_scaled: bool) -> float:
-        alpha, beta = self.prob.bc_b
-        s_fac = self._s_at(lam, "b") if use_scaled else 1.0
-        th = math.atan2(-alpha * s_fac, self.p_b * beta)
-        while th <= 0.0:
-            th += math.pi
-        while th > math.pi:
-            th -= math.pi
-        return th
-
-    def miss(self, lams: np.ndarray, kidx: np.ndarray) -> np.ndarray:
-        """theta(b; L) - (theta_b(L) + k pi) for each (L, k) pair."""
-        lams = np.asarray(lams, dtype=float)
-        out = np.empty_like(lams)
+    def _shoot(self, lams: np.ndarray, **kwargs):
+        """(indices, use_scaled, theta at a, _integrate states) per Pruefer form in lams."""
         mask = self.is_scaled(lams)
         for use_scaled in (False, True):
-            sel = np.where(mask == use_scaled)[0]
-            if sel.size == 0:
-                continue
-            rhs = self.scaled if use_scaled else self.plain
-            th0 = np.array([self.theta_a(l, use_scaled) for l in lams[sel]])
-            th_end = _integrate(rhs, lams[sel], self.a, self.b, th0, self.rtol)[0]
-            th_t = np.array([self.theta_b(l, use_scaled) for l in lams[sel]])
-            out[sel] = th_end - th_t - math.pi * kidx[sel]
+            sel = np.flatnonzero(mask == use_scaled)
+            if sel.size:
+                rhs = self.scaled if use_scaled else self.plain
+                th0 = self.theta(lams[sel], use_scaled, "a")
+                states = _integrate(rhs, lams[sel], self.a, self.b, th0, self.rtol, **kwargs)
+                yield sel, use_scaled, th0, states
+
+    def miss(self, lams: np.ndarray, kidx: np.ndarray) -> np.ndarray:
+        """theta(b; L) - (theta(L at b) + k pi) for each (L, k) pair."""
+        lams = np.asarray(lams, dtype=float)
+        out = np.empty_like(lams)
+        for sel, use_scaled, _, states in self._shoot(lams):
+            out[sel] = states[0] - self.theta(lams[sel], use_scaled, "b") - math.pi * kidx[sel]
         return out
 
     def recover(self, lams: np.ndarray) -> List[GridFunction]:
@@ -394,21 +391,11 @@ class _Shooter:
         prob, grid = self.prob, self.grid
         zg = grid.nodes
         p_g, q_g, rho_g, dp_g = prob.p(zg), prob.q(zg), prob.rho(zg), prob.dp(zg)
-        mask = self.is_scaled(lams)
         funcs: List[Optional[GridFunction]] = [None] * lams.size
-        for use_scaled in (False, True):
-            sel = np.where(mask == use_scaled)[0]
-            if sel.size == 0:
-                continue
-            rhs = self.scaled if use_scaled else self.plain
-            sub = lams[sel]
-            th0 = np.array([self.theta_a(l, use_scaled) for l in sub])
-            states = _integrate(
-                rhs, sub, self.a, self.b, th0, self.rtol,
-                z_out=np.append(zg, self.b), amplitude=True,
-            )
+        z_out = np.append(zg, self.b)
+        for sel, use_scaled, th0, states in self._shoot(lams, z_out=z_out, amplitude=True):
             for j, i in enumerate(sel):
-                lam = sub[j]
+                lam = lams[i]
                 theta = states[:-1, 0, j]
                 amp = np.exp(states[:-1, 1, j])
                 th_b, amp_b = states[-1, 0, j], math.exp(states[-1, 1, j])
@@ -435,6 +422,49 @@ class _Shooter:
         return funcs  # type: ignore[return-value]
 
 
+def _search(sh, lo, hi, flo, fhi, kidx):
+    """Shrink brackets flo < 0 <= fhi on roots of sh.miss(L, k) to the stopping rule.
+
+    A round makes one miss() call: each open bracket's secant estimate x and
+    fan x +- u 4^-j (j < FAN, offsets >= tol/2), u being four times the last
+    move of x (width/4 at first) kept in [tol, width/2].  Each bracket keeps
+    the tightest adjacent sign change among its endpoints and the new points.
+    """
+    lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
+    x_prev = np.full(lo.size, np.nan)
+    for rounds in range(201):
+        tol = ROOT_RTOL * np.maximum(1.0, np.abs(hi))
+        idx = np.flatnonzero(hi - lo > tol)
+        if idx.size == 0:
+            return lo, hi, flo, fhi
+        if rounds == 200:
+            i = idx[0]
+            form = "scaled" if sh.is_scaled(hi[i : i + 1])[0] else "plain"
+            raise EigenvalueBracketError(
+                f"eigenvalue {int(kidx[i]) + 1} not converged in 200 rounds: "
+                f"[{float(lo[i])!r}, {float(hi[i])!r}], {form} Pruefer form at hi"
+            )
+        a, b, fa, fb, t = lo[idx], hi[idx], flo[idx], fhi[idx], tol[idx]
+        w = b - a
+        x = np.clip((a * fb - b * fa) / (fb - fa), a + 1e-3 * w, b - 1e-3 * w)
+        u = np.where(np.isnan(x_prev[idx]), 0.25 * w, 4.0 * np.abs(x - x_prev[idx]))
+        u = np.minimum(np.maximum(u, t), 0.5 * w)
+        x_prev[idx] = x
+        off = u[:, None] * 0.25 ** np.arange(FAN)
+        off[off < 0.5 * t[:, None]] = np.nan
+        X = np.column_stack([a, x[:, None] - off, x, x[:, None] + off[:, ::-1], b])  # ascending
+        row, col = np.nonzero((X > a[:, None]) & (X < b[:, None]))
+        F = np.full(X.shape, np.nan)
+        F[:, 0], F[:, -1] = fa, fb
+        F[row, col] = sh.miss(X[row, col], kidx[idx[row]])
+        # a point not evaluated, or with a non-finite miss, repeats the one before it
+        keep = np.maximum.accumulate(np.where(np.isfinite(F), np.arange(X.shape[1]), 0), axis=1)
+        X, F = np.take_along_axis(X, keep, 1), np.take_along_axis(F, keep, 1)
+        gap = np.where((F[:, :-1] < 0.0) & (F[:, 1:] >= 0.0), np.diff(X, axis=1), np.inf)
+        r, j = np.arange(idx.size), np.argmin(gap, axis=1)
+        lo[idx], flo[idx], hi[idx], fhi[idx] = X[r, j], F[r, j], X[r, j + 1], F[r, j + 1]
+
+
 def solve_spectrum(
     prob: SLProblem,
     N: int = 64,
@@ -446,10 +476,10 @@ def solve_spectrum(
     """Compute the first N eigenpairs of A = -(SL operator).
 
     Eigenvalues of the positive form -(pf')' + qf = L rho f are located by
-    phase-count bracketing plus bracketed (Illinois) iteration per index,
-    then returned as lambda_n = -L_n.  Eigenfunctions come from the
-    amplitude equation, rho-normalized, with phi_n(a) > 0 (or phi_n'(a) > 0
-    for a Dirichlet left end).
+    phase-count bracketing plus a multi-point bracketed search over all
+    indices at once (see _search), then returned as lambda_n = -L_n.
+    Eigenfunctions come from the amplitude equation, rho-normalized, with
+    phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -504,31 +534,7 @@ def solve_spectrum(
         lo[k], hi[k] = ladder[i_lo], ladder[i_hi]
         flo[k], fhi[k] = rel[i_lo], rel[i_hi]
 
-    # Illinois iteration, vectorized over the unconverged indices
-    active = np.ones(N, dtype=bool)
-    last = np.zeros(N)  # endpoint the last iteration replaced: -1 lo, +1 hi
-    width1 = np.full(N, np.inf)  # bracket widths one and two iterations ago
-    width2 = np.full(N, np.inf)
-    for _ in range(200):
-        active &= (hi - lo) > ROOT_RTOL * np.maximum(1.0, np.abs(hi))
-        if not active.any():
-            break
-        idx = np.where(active)[0]
-        x = (lo[idx] * fhi[idx] - hi[idx] * flo[idx]) / (fhi[idx] - flo[idx])
-        w = hi[idx] - lo[idx]
-        x = np.clip(x, lo[idx] + 1e-3 * w, hi[idx] - 1e-3 * w)
-        # bisect where the bracket did not halve over the last two iterations
-        stalled = w > 0.5 * width2[idx]
-        x[stalled] = 0.5 * (lo[idx] + hi[idx])[stalled]
-        width2[idx], width1[idx] = width1[idx], w
-        fx = sh.miss(x, kvec[idx])
-        neg = fx < 0.0
-        # the same endpoint replaced twice in a row: halve the kept one's miss
-        fhi[idx[neg & (last[idx] < 0)]] *= 0.5
-        flo[idx[~neg & (last[idx] > 0)]] *= 0.5
-        last[idx] = np.where(neg, -1.0, 1.0)
-        lo[idx[neg]], flo[idx[neg]] = x[neg], fx[neg]
-        hi[idx[~neg]], fhi[idx[~neg]] = x[~neg], fx[~neg]
+    lo, hi, flo, fhi = _search(sh, lo, hi, flo, fhi, kvec)
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
 
     eigenfunctions = sh.recover(root)

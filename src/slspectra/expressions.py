@@ -283,9 +283,9 @@ def _simplify(node: Node) -> Node:
     return node
 
 
-def _unparse(node: Node, python: bool = False) -> str:
+def _unparse(node: Node, calls: dict | None = None) -> str:
     """Fully parenthesized text that reparses to an equal-valued expression;
-    with python=True "^" is spelled pow(a, b), the source _compile runs."""
+    operators in calls are spelled as calls, e.g. {"^": "pow"} gives pow(a, b)."""
     if isinstance(node, Num):
         # a folded negative constant is parenthesized so that "^" takes it whole
         neg = math.copysign(1.0, node.value) < 0
@@ -293,11 +293,12 @@ def _unparse(node: Node, python: bool = False) -> str:
     if isinstance(node, Var):
         return "z"
     if isinstance(node, Neg):
-        return f"(-{_unparse(node.arg, python)})"
+        return f"(-{_unparse(node.arg, calls)})"
     if isinstance(node, BinOp):
-        a, b = _unparse(node.left, python), _unparse(node.right, python)
-        return f"pow({a}, {b})" if python and node.op == "^" else f"({a}{node.op}{b})"
-    return f"{node.func}({_unparse(node.arg, python)})"
+        a, b = _unparse(node.left, calls), _unparse(node.right, calls)
+        fn = calls.get(node.op) if calls else None
+        return f"{fn}({a}, {b})" if fn else f"({a}{node.op}{b})"
+    return f"{node.func}({_unparse(node.arg, calls)})"
 
 
 def _compile(asts, lib):
@@ -307,10 +308,11 @@ def _compile(asts, lib):
     domain, where lib=np gives inf or nan; neither gives a complex number.
     """
     env = {fn: getattr(lib, fn) for fn in _FUNCS}
-    env["pow"] = math.pow if lib is math else np.power
-    env["__builtins__"] = {}
+    env.update(pow=math.pow if lib is math else np.power, divide=np.divide, __builtins__={})
+    # on arrays "/" is np.divide too, so a literal-only 1/0 is inf there, not an exception
+    calls = {"^": "pow"} if lib is math else {"^": "pow", "/": "divide"}
     # generated from our own AST, never from raw user text
-    src = ", ".join(_unparse(ast, python=True) for ast in asts)
+    src = ", ".join(_unparse(ast, calls) for ast in asts)
     return eval(f"lambda z: ({src},)", env)  # noqa: S307
 
 

@@ -162,6 +162,16 @@ def test_non_finite_coefficient_samples_rejected(a, b, p, q, message):
         SLProblem.from_strings(a, b, p, q, "1", (0.0, 1.0), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("name", ["p", "q", "rho"])
+def test_constant_division_by_zero_is_named(name):
+    # the literal 1/0 is evaluated on arrays too, where it is inf, not an exception
+    coeffs = {"p": "1", "q": "0", "rho": "1", name: "1/0 + z"}
+    what = "finite" if name == "q" else "finite and positive"
+    message = rf"^{name} must be {what} on the interval: {name}\(0.0\) = inf$"
+    with pytest.raises(ValueError, match=message):
+        SLProblem.from_strings(0, 1, coeffs["p"], coeffs["q"], coeffs["rho"], (1, 0), (1, 0))
+
+
 def test_bc_tuple_validation():
     with pytest.raises(ValueError):
         SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 0.0), (0.0, 1.0))

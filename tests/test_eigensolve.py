@@ -164,9 +164,9 @@ def work_counts(monkeypatch):
 
 
 def test_solver_work_counts(work_counts, model):
-    # Illinois halves the kept endpoint's miss only after the same endpoint is
-    # replaced twice; halving on every iteration (with forced bisections)
-    # needed 49 and 93 integrations here.
+    # An Illinois search that halved the kept endpoint's miss on every
+    # iteration (with forced bisections) needed 49 and 93 integrations here;
+    # see test_search_rounds for the multi-point search's own bounds.
     counts = work_counts
     cases = [
         (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
@@ -178,6 +178,87 @@ def test_solver_work_counts(work_counts, model):
         solve_spectrum(prob, N=N)
         assert counts["integrate"] <= max_integrate, counts
         assert counts["rhs"] <= max_rhs, counts
+
+
+def test_search_rounds(work_counts, model):
+    # One batch per round of the multi-point search; a one-point-per-index
+    # Illinois search made 21 and 30 integrations on these two problems.
+    cases = [
+        (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
+         20, 18),
+        (dcr_sl_problem(model), 10, 20),
+    ]
+    for prob, N, max_integrate in cases:
+        work_counts.update(integrate=0)
+        solve_spectrum(prob, N=N)
+        assert work_counts["integrate"] <= max_integrate, work_counts
+
+
+class _NoisyMiss:
+    """A batched miss x - r_k + 1e-12 sin(1e15 (x - r_k)): many sign changes
+    within 1e-12 of each root r_k, and exactly 0 at r_k itself."""
+
+    def __init__(self, roots):
+        self.roots = np.asarray(roots, dtype=float)
+        self.calls = 0
+
+    def f(self, lams, kidx):
+        d = np.asarray(lams) - self.roots[np.asarray(kidx, dtype=int)]
+        return d + 1e-12 * np.sin(1e15 * d)
+
+    def miss(self, lams, kidx):
+        self.calls += 1
+        return self.f(lams, kidx)
+
+    def is_scaled(self, lams):
+        return np.ones(len(lams), dtype=bool)
+
+
+def test_search_on_noisy_miss():
+    roots = np.array([0.3, 7.0, 250.0, -40.0, 1e4])
+    kidx = np.arange(roots.size, dtype=float)
+    lo = roots - [1.3, 0.01, 40.0, 3.0, 500.0]
+    hi = roots + [0.9, 5.0, 0.0, 1e-9, 2000.0]  # hi = 250 has miss exactly 0
+    stub = _NoisyMiss(roots)
+    flo, fhi = stub.f(lo, kidx), stub.f(hi, kidx)
+    assert fhi[2] == 0.0
+    lo, hi, flo, fhi = eigensolve._search(stub, lo, hi, flo, fhi, kidx)
+    assert np.all(hi - lo <= eigensolve.ROOT_RTOL * np.maximum(1.0, np.abs(hi)))
+    assert np.array_equal(flo, stub.f(lo, kidx)) and np.array_equal(fhi, stub.f(hi, kidx))
+    assert np.all(flo < 0.0) and np.all(fhi >= 0.0)
+    assert stub.calls <= 8, stub.calls
+
+
+class _NaNMiss(_NoisyMiss):
+    def miss(self, lams, kidx):
+        return np.full(len(lams), np.nan)
+
+
+def test_search_fails_loudly_at_the_round_cap():
+    # a miss that is never finite inside the bracket never closes it
+    with pytest.raises(eigensolve.EigenvalueBracketError) as info:
+        eigensolve._search(_NaNMiss([0.5]), [0.0], [1.0], [-1.0], [1.0], np.array([3.0]))
+    msg = str(info.value)
+    assert "eigenvalue 4 not converged in 200 rounds" in msg, msg
+    assert "[0.0, 1.0], scaled Pruefer form at hi" in msg, msg
+
+
+def test_coefficient_derivatives_cached_on_problem(monkeypatch):
+    from dataclasses import replace
+
+    from slspectra.expressions import CoeffExpr, parse_coeff
+
+    prob = SLProblem.from_strings(0.0, 1.0, "1+z", "z^2", "1+z", (0.0, 1.0), (0.0, 1.0))
+    solve_spectrum(prob, N=1)
+    calls = []
+    derivative = CoeffExpr.derivative
+    monkeypatch.setattr(CoeffExpr, "derivative", lambda e: calls.append(e) or derivative(e))
+    solve_spectrum(prob, N=1)
+    assert calls == []
+    # a replaced problem derives its own, never the stale ones
+    new = replace(prob, q=parse_coeff("z^3"), rho=parse_coeff("exp(z)"), dp=None)
+    z = np.linspace(0.0, 1.0, 5)
+    assert np.allclose(new.dq(z), 3.0 * z ** 2) and np.allclose(new.drho(z), np.exp(z))
 
 
 def test_folded_negative_constant_in_q():
