@@ -31,6 +31,16 @@ from its seven stages at no extra RHS cost.  That interpolant is 4th order,
 one below the step, so dense-output integrations run at DENSE_TOL_FACTOR
 times rtol and atol, which keeps interpolated nodes as accurate as step
 endpoints.  The eigenvalue search never asks for dense output.
+
+The solver works in units-free variables (Pryce 1993, ch. 5): with
+ell = b - a, P = p(a) and R = rho(a) it solves for s = (z - a)/ell, p/P,
+rho/R, q ell^2/P and L R ell^2/P, with each Robin alpha divided by ell
+(_UnitMap).  Every
+constant above (the scaled-form margin, the scan window, the stopping rule,
+the step sizes) then acts on dimensionless quantities, so a dilated or
+reweighted problem costs what its unit problem costs.  Eigenvalues and
+eigenfunctions are mapped back once, on exit, as are the numbers in error
+messages; on [0, 1] with p(0) = rho(0) = 1 the map is exactly the identity.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -50,7 +61,6 @@ from .core import (
     GridFunction,
     GridMismatchError,
     SLProblem,
-    inner_product_rho,
     make_grid,
 )
 from .expressions import compile_scalar
@@ -78,7 +88,11 @@ ZERO_EIGENVALUE_TOL = 10.0 * ROOT_RTOL
 
 
 class EigenvalueBracketError(RuntimeError):
-    """An eigenvalue could not be bracketed, or its bracket did not close."""
+    """An eigenvalue could not be bracketed, or its bracket did not close.
+
+    The message names the index, the window of L = -lambda searched (in the
+    caller's units) and the Pruefer form at its upper end.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +195,11 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
                 break
             h *= min(0.9, max(0.2, 0.9 * emax ** -0.2))
             if h < 1e-14 * max(1.0, abs(z1)):
+                unit = rhs.unit  # report where and for what, in the caller's units
                 raise RuntimeError(
-                    f"{rhs.form} Pruefer ODE step size underflow at z={float(z)!r}, "
-                    f"h={h:.3g}, lambda in [{float(lams.min())!r}, {float(lams.max())!r}]"
+                    f"{rhs.form} Pruefer ODE step size underflow at z={float(unit.z(z))!r}, "
+                    f"h={h * unit.ell:.3g}, lambda in [{float(unit.lam(lams.min()))!r}, "
+                    f"{float(unit.lam(lams.max()))!r}]"
                 )
         if out is not None:
             # outputs in [z, z + h): theta = 0 gives y exactly
@@ -202,11 +218,61 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
     return out
 
 
+class _UnitMap:
+    """The affine map of a problem into units-free variables, built once per solve.
+
+    s = (z - a)/ell, p^ = p/P, rho^ = rho/R, q^ = q ell^2/P, L^ = L R ell^2/P
+    and Robin alpha^ = alpha/ell (alpha f' + beta f = 0 and f' = f_s/ell),
+    with ell = b - a, P = p(a) and R = rho(a).  On [0, 1] with
+    p(0) = rho(0) = 1 every factor is 1.0, so the map is exactly the identity.
+    """
+
+    def __init__(self, prob: SLProblem):
+        a, ell = prob.interval.a, prob.interval.length
+        P, R = prob.p(a), prob.rho(a)
+        self.a, self.ell = a, ell
+        self.lam_scale = P / (R * ell * ell)
+        # from p, q, rho, p', q', rho' at z to p^, q^, rho^ and their s-derivatives
+        self.factors = (1.0 / P, ell * ell / P, 1.0 / R, ell / P, ell * ell * ell / P, ell / R)
+        self.exprs = (prob.p, prob.q, prob.rho, prob.dp, prob.dq, prob.drho)
+        self.bc_a = (prob.bc_a[0] / ell, prob.bc_a[1])
+        self.bc_b = (prob.bc_b[0] / ell, prob.bc_b[1])
+        self.identity = (a, ell, P, R) == (0.0, 1.0, 1.0, 1.0)
+
+    def z(self, s):
+        return self.a + self.ell * s
+
+    def lam(self, lam_hat):
+        """L in the caller's units from L^ (and lambda from lambda^)."""
+        return self.lam_scale * lam_hat
+
+    def coeffs(self, s: np.ndarray):
+        """p^, q^, rho^ and dp^/ds on an array of s."""
+        z = self.z(s)
+        return tuple(k * e(z) for k, e in zip(self.factors, self.exprs[:4]))
+
+    def scalar(self, n: int):
+        """One call s -> the first n of p^, q^, rho^, p^', q^', rho^' at a scalar s."""
+        fn = compile_scalar(*self.exprs[:n])
+        if self.identity:  # every factor is 1.0: skip the wrapper's cost per RHS call
+            return fn
+        a, ell, k = self.a, self.ell, self.factors[:n]
+        return lambda s: tuple(map(mul, k, fn(a + ell * s)))
+
+    def eigenfunction(self, grid: Grid, values, ds, dss, fa, fb, dfa, dfb) -> GridFunction:
+        """The GridFunction of z on grid from values and d/ds, d2/ds2 at its nodes."""
+        ell = self.ell
+        return GridFunction(
+            grid, values, ds / ell, dss / (ell * ell), BoundaryData(fa, fb, dfa / ell, dfb / ell)
+        )
+
+
 class _PlainRHS:
     form = "plain"
 
-    def __init__(self, prob: SLProblem):
-        self.coeffs = compile_scalar(prob.p, prob.q, prob.rho)
+    def __init__(self, unit: _UnitMap):
+        self.unit = unit
+        self.coeffs = unit.scalar(3)
 
     def initial_step(self, lams, span):
         freq = math.sqrt(max(float(np.max(np.abs(lams))), 1.0))
@@ -228,8 +294,9 @@ class _ScaledRHS:
 
     form = "scaled"
 
-    def __init__(self, prob: SLProblem):
-        self.coeffs = compile_scalar(prob.p, prob.q, prob.rho, prob.dp, prob.dq, prob.drho)
+    def __init__(self, unit: _UnitMap):
+        self.unit = unit
+        self.coeffs = unit.scalar(6)
 
     def initial_step(self, lams, span):
         return max(min(0.01, abs(span) * 0.25), 1e-12)
@@ -329,19 +396,29 @@ class ModalCoefficients:
 
 
 class _Shooter:
+    """Phase misses and eigenfunctions of a problem, computed in its unit variables.
+
+    Every lambda passed in or returned is lambda^ (see _UnitMap).
+    """
+
     def __init__(self, prob: SLProblem, grid: Grid, rtol: float):
         self.prob = prob
         self.grid = grid
         self.rtol = rtol
-        self.plain = _PlainRHS(prob)
-        self.scaled = _ScaledRHS(prob)
-        self.a, self.b = prob.interval.a, prob.interval.b
-        zs = np.concatenate([[self.a], grid.nodes, [self.b]])
-        self.rho_s = prob.rho(zs)
-        self.q_s = prob.q(zs)
-        self.p_a, self.p_b = prob.p(self.a), prob.p(self.b)
-        self.rho_a, self.rho_b = prob.rho(self.a), prob.rho(self.b)
-        self.q_a, self.q_b = prob.q(self.a), prob.q(self.b)
+        self.unit = unit = _UnitMap(prob)
+        self.lam_scale = unit.lam_scale
+        self.plain = _PlainRHS(unit)
+        self.scaled = _ScaledRHS(unit)
+        # s at the grid nodes, with the end s = 1 appended for recovery
+        self.s_out = np.append((grid.nodes - unit.a) / unit.ell, 1.0)
+        self.weights = grid.weights / unit.ell
+        # p^, q^, rho^, p^' at s = 0, the nodes and s = 1; the ends exactly as the RHS sees them
+        self.p_s, self.q_s, self.rho_s, self.dp_s = (
+            np.concatenate([[ca], v, [cb]])
+            for ca, v, cb in zip(
+                self.scaled.coeffs(0.0), unit.coeffs(self.s_out[:-1]), self.scaled.coeffs(1.0)
+            )
+        )
 
     def is_scaled(self, lams: np.ndarray) -> np.ndarray:
         margin = 1.0
@@ -353,15 +430,15 @@ class _Shooter:
         return out
 
     def _s_at(self, lams, z_end: str):
-        if z_end == "a":
-            return np.sqrt(self.p_a * (lams * self.rho_a - self.q_a))
-        return np.sqrt(self.p_b * (lams * self.rho_b - self.q_b))
+        end = 0 if z_end == "a" else -1
+        return np.sqrt(self.p_s[end] * (lams * self.rho_s[end] - self.q_s[end]))
 
     def theta(self, lams: np.ndarray, use_scaled: bool, z_end: str) -> np.ndarray:
         """Boundary angle per lambda: in [0, pi) at z_end "a", in (0, pi] at "b"."""
-        alpha, beta = self.prob.bc_a if z_end == "a" else self.prob.bc_b
+        end = 0 if z_end == "a" else -1
+        alpha, beta = self.unit.bc_a if z_end == "a" else self.unit.bc_b
         s_fac = self._s_at(lams, z_end) if use_scaled else np.ones_like(lams)
-        th = np.arctan2(-alpha * s_fac, (self.p_a if z_end == "a" else self.p_b) * beta)
+        th = np.arctan2(-alpha * s_fac, self.p_s[end] * beta)
         if z_end == "a":  # th is in [-pi, pi]
             return np.where(th < 0.0, th + math.pi, np.where(th >= math.pi, th - math.pi, th))
         th = np.where(th <= 0.0, th + math.pi, th)
@@ -375,7 +452,7 @@ class _Shooter:
             if sel.size:
                 rhs = self.scaled if use_scaled else self.plain
                 th0 = self.theta(lams[sel], use_scaled, "a")
-                states = _integrate(rhs, lams[sel], self.a, self.b, th0, self.rtol, **kwargs)
+                states = _integrate(rhs, lams[sel], 0.0, 1.0, th0, self.rtol, **kwargs)
                 yield sel, use_scaled, th0, states
 
     def miss(self, lams: np.ndarray, kidx: np.ndarray) -> np.ndarray:
@@ -387,13 +464,13 @@ class _Shooter:
         return out
 
     def recover(self, lams: np.ndarray) -> List[GridFunction]:
-        """Eigenfunctions (with derivative grids and exact boundary data)."""
-        prob, grid = self.prob, self.grid
-        zg = grid.nodes
-        p_g, q_g, rho_g, dp_g = prob.p(zg), prob.q(zg), prob.rho(zg), prob.dp(zg)
+        """Eigenfunctions on the caller's grid (with derivative grids and exact
+        boundary data), rho-normalized there."""
+        p_g, q_g, rho_g, dp_g = (v[1:-1] for v in (self.p_s, self.q_s, self.rho_s, self.dp_s))
+        p_a, p_b = self.p_s[0], self.p_s[-1]
+        wrho = self.prob.rho(self.grid.nodes) * self.grid.weights
         funcs: List[Optional[GridFunction]] = [None] * lams.size
-        z_out = np.append(zg, self.b)
-        for sel, use_scaled, th0, states in self._shoot(lams, z_out=z_out, amplitude=True):
+        for sel, use_scaled, th0, states in self._shoot(lams, z_out=self.s_out, amplitude=True):
             for j, i in enumerate(sel):
                 lam = lams[i]
                 theta = states[:-1, 0, j]
@@ -410,16 +487,24 @@ class _Shooter:
                     fa = math.sin(th0[j])
                     fb = amp_b * math.sin(th_b)
                 deriv = amp * np.cos(theta) / p_g
-                dfa = math.cos(th0[j]) / self.p_a
-                dfb = amp_b * math.cos(th_b) / self.p_b
+                dfa = math.cos(th0[j]) / p_a
+                dfb = amp_b * math.cos(th_b) / p_b
                 deriv2 = ((q_g - lam * rho_g) * values - dp_g * deriv) / p_g
-                f = GridFunction(
-                    grid, values, deriv, deriv2, BoundaryData(fa, fb, dfa, dfb)
-                )
-                nrm = math.sqrt(inner_product_rho(f, f, prob.rho))
+                f = self.unit.eigenfunction(self.grid, values, deriv, deriv2, fa, fb, dfa, dfb)
+                nrm = math.sqrt(float(np.dot(f.values * f.values, wrho)))
                 sign = -1.0 if (fa <= 1e-10 * nrm and dfa < 0.0) else 1.0
                 funcs[i] = f.scaled(sign / nrm)
         return funcs  # type: ignore[return-value]
+
+
+def _bracket_error(sh, k, what: str, lo: float, hi: float) -> EigenvalueBracketError:
+    """Names index k + 1, the window [lo, hi] of L^ in the caller's units, and
+    the Pruefer form at hi."""
+    form = "scaled" if sh.is_scaled(np.array([float(hi)]))[0] else "plain"
+    lo, hi = float(sh.lam_scale * lo), float(sh.lam_scale * hi)
+    return EigenvalueBracketError(
+        f"eigenvalue {int(k) + 1} {what}: L in [{lo!r}, {hi!r}], {form} Pruefer form at hi"
+    )
 
 
 def _search(sh, lo, hi, flo, fhi, kidx):
@@ -439,11 +524,7 @@ def _search(sh, lo, hi, flo, fhi, kidx):
             return lo, hi, flo, fhi
         if rounds == 200:
             i = idx[0]
-            form = "scaled" if sh.is_scaled(hi[i : i + 1])[0] else "plain"
-            raise EigenvalueBracketError(
-                f"eigenvalue {int(kidx[i]) + 1} not converged in 200 rounds: "
-                f"[{float(lo[i])!r}, {float(hi[i])!r}], {form} Pruefer form at hi"
-            )
+            raise _bracket_error(sh, kidx[i], "not converged in 200 rounds", lo[i], hi[i])
         a, b, fa, fb, t = lo[idx], hi[idx], flo[idx], fhi[idx], tol[idx]
         w = b - a
         x = np.clip((a * fb - b * fa) / (fb - fa), a + 1e-3 * w, b - 1e-3 * w)
@@ -479,58 +560,54 @@ def solve_spectrum(
     phase-count bracketing plus a multi-point bracketed search over all
     indices at once (see _search), then returned as lambda_n = -L_n.
     Eigenfunctions come from the amplitude equation, rho-normalized, with
-    phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).
+    phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).  Either edge of
+    the bracketing scan is pushed out at most max_bracket_expansions times
+    before EigenvalueBracketError is raised.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     grid = make_grid(prob.interval, panels, points)
-    sh = _Shooter(prob, grid, ode_rtol)
+    sh = _Shooter(prob, grid, ode_rtol)  # from here on, everything is in unit variables
     kvec = np.arange(N, dtype=float)
 
     # Weyl-style guesses: phase gain ~ sqrt(L) J with J = integral sqrt(rho/p)
-    zg = grid.nodes
-    rho_g, p_g, q_g = prob.rho(zg), prob.p(zg), prob.q(zg)
-    J = float(np.dot(np.sqrt(rho_g / p_g), grid.weights))
+    p_g, q_g, rho_g = sh.p_s[1:-1], sh.q_s[1:-1], sh.rho_s[1:-1]
+    J = float(np.dot(np.sqrt(rho_g / p_g), sh.weights))
     q_shift = float(np.median(q_g / rho_g))
     guesses = ((kvec + 1.0) * math.pi / J) ** 2 + q_shift
 
     # lower edge of the scan window: push down until miss for index 0 < 0
-    lo0 = float(np.min(q_g / rho_g)) - 1.0
+    lo0 = top = float(np.min(q_g / rho_g)) - 1.0
     step = max(10.0, abs(lo0))
+    f0 = sh.miss(np.array([lo0]), np.zeros(1))[0]
     for _ in range(max_bracket_expansions):
-        if sh.miss(np.array([lo0]), np.zeros(1))[0] < 0.0:
+        if f0 < 0.0:
             break
         lo0 -= step
         step *= 2.0
-    else:
-        raise EigenvalueBracketError(f"no lower bracket below L={lo0}")
+        f0 = sh.miss(np.array([lo0]), np.zeros(1))[0]
+    if not f0 < 0.0:
+        raise _bracket_error(sh, 0, "not bracketed below", lo0, top)
 
-    # one vectorized ladder sweep brackets every index
-    ladder = np.unique(np.concatenate([[lo0], guesses, [guesses[-1] * 1.3 + 10.0]]))
-    phases = sh.miss(ladder, np.zeros(ladder.size))  # miss relative to k=0
-    hi_edge = float(ladder[-1])
+    # one vectorized ladder sweep brackets every index; the guesses lie above
+    # lo0, whose miss the scan has already computed
+    ladder = np.unique(np.concatenate([guesses, [guesses[-1] * 1.3 + 10.0]]))
+    phases = np.concatenate([[f0], sh.miss(ladder, np.zeros(ladder.size))])  # miss for k=0
+    ladder = np.concatenate([[lo0], ladder])
     for _ in range(max_bracket_expansions):
         if phases[-1] - math.pi * kvec[-1] > 0.0:
             break
-        hi_edge = hi_edge * 2.0 + 10.0
-        ladder = np.append(ladder, hi_edge)
-        phases = np.append(phases, sh.miss(np.array([hi_edge]), np.zeros(1))[0])
-    else:
-        raise EigenvalueBracketError(
-            f"eigenvalue {N} not inside scan window [{lo0}, {hi_edge}]"
-        )
+        ladder = np.append(ladder, max(ladder[-1] * 2.0, 0.0) + 10.0)
+        phases = np.append(phases, sh.miss(ladder[-1:], np.zeros(1)))
+    if not phases[-1] - math.pi * kvec[-1] > 0.0:
+        raise _bracket_error(sh, N - 1, "not bracketed", lo0, ladder[-1])
 
+    # phases[0] < 0 < phases[-1] - pi (N - 1), so every index has a sign change
     lo, hi = np.empty(N), np.empty(N)
     flo, fhi = np.empty(N), np.empty(N)
     for k in range(N):
         rel = phases - math.pi * k
-        below = np.where(rel < 0.0)[0]
-        above = np.where(rel >= 0.0)[0]
-        if below.size == 0 or above.size == 0:
-            raise EigenvalueBracketError(
-                f"eigenvalue {k + 1} not bracketed in [{lo0}, {hi_edge}]"
-            )
-        i_lo, i_hi = below[-1], above[0]
+        i_lo, i_hi = np.flatnonzero(rel < 0.0)[-1], np.flatnonzero(rel >= 0.0)[0]
         lo[k], hi[k] = ladder[i_lo], ladder[i_hi]
         flo[k], fhi[k] = rel[i_lo], rel[i_hi]
 
@@ -538,7 +615,7 @@ def solve_spectrum(
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
 
     eigenfunctions = sh.recover(root)
-    return SpectralDecomposition(prob, -root, eigenfunctions, grid)
+    return SpectralDecomposition(prob, -sh.unit.lam(root), eigenfunctions, grid)
 
 
 # ---------------------------------------------------------------------------

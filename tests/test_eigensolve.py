@@ -14,6 +14,7 @@ from slspectra.core import (
     bc_residual,
     grid_function,
     inner_product_rho,
+    make_grid,
 )
 from slspectra.eigensolve import (
     ModalCoefficients,
@@ -142,9 +143,8 @@ def test_invalid_inputs(dirichlet_problem):
         solve_spectrum(dirichlet_problem, N=0)
 
 
-@pytest.fixture()
-def work_counts(monkeypatch):
-    """Counts `_integrate` calls and Pruefer RHS evaluations."""
+def _count_work(mp):
+    """Counts `_integrate` calls and Pruefer RHS evaluations while mp is active."""
     counts = {"integrate": 0, "rhs": 0}
     integrate = eigensolve._integrate
 
@@ -152,51 +152,202 @@ def work_counts(monkeypatch):
         counts["integrate"] += 1
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "_integrate", counting_integrate)
+    mp.setattr(eigensolve, "_integrate", counting_integrate)
     for cls in (eigensolve._PlainRHS, eigensolve._ScaledRHS):
 
         def counting_call(self, *args, _call=cls.__call__):
             counts["rhs"] += 1
             return _call(self, *args)
 
-        monkeypatch.setattr(cls, "__call__", counting_call)
+        mp.setattr(cls, "__call__", counting_call)
     return counts
 
 
-def test_solver_work_counts(work_counts, model):
+@pytest.fixture()
+def work_counts(monkeypatch):
+    return _count_work(monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def anchor_counts(model):
+    """Work counts of one solve of each anchor: p=1+z^2 Robin (N=20), weighted DCR (N=10)."""
+    anchors = {
+        "p1z2": (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
+                 20),
+        "dcr": (dcr_sl_problem(model), 10),
+    }
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _count_work(mp)
+        for name, (prob, N) in anchors.items():
+            counts.update(integrate=0, rhs=0)
+            solve_spectrum(prob, N=N)
+            out[name] = dict(counts)
+    return out
+
+
+def test_solver_work_counts(anchor_counts):
     # An Illinois search that halved the kept endpoint's miss on every
     # iteration (with forced bisections) needed 49 and 93 integrations here;
     # see test_search_rounds for the multi-point search's own bounds.
-    counts = work_counts
-    cases = [
-        (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
-         20, 25, 60_000),
-        (dcr_sl_problem(model), 10, 35, 50_000),
-    ]
-    for prob, N, max_integrate, max_rhs in cases:
-        counts.update(integrate=0, rhs=0)
-        solve_spectrum(prob, N=N)
-        assert counts["integrate"] <= max_integrate, counts
-        assert counts["rhs"] <= max_rhs, counts
+    for name, max_integrate, max_rhs in (("p1z2", 25, 60_000), ("dcr", 35, 50_000)):
+        counts = anchor_counts[name]
+        assert counts["integrate"] <= max_integrate, (name, counts)
+        assert counts["rhs"] <= max_rhs, (name, counts)
 
 
-def test_search_rounds(work_counts, model):
+def test_search_rounds(anchor_counts):
     # One batch per round of the multi-point search; a one-point-per-index
     # Illinois search made 21 and 30 integrations on these two problems.
-    cases = [
-        (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
-         20, 18),
-        (dcr_sl_problem(model), 10, 20),
-    ]
-    for prob, N, max_integrate in cases:
-        work_counts.update(integrate=0)
+    for name, max_integrate in (("p1z2", 18), ("dcr", 20)):
+        assert anchor_counts[name]["integrate"] <= max_integrate, (name, anchor_counts[name])
+
+
+def test_no_lambda_shot_twice(monkeypatch):
+    # the ladder reuses the scan's miss at its lower edge instead of integrating it again
+    seen = []
+    miss = eigensolve._Shooter.miss
+    monkeypatch.setattr(
+        eigensolve._Shooter, "miss", lambda sh, lams, kidx: seen.extend(lams) or miss(sh, lams, kidx)
+    )
+    for prob, N in (
+        (SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, -0.3), (1.0, 0.2)), 30),
+        (SLProblem.from_strings(0.0, 50.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0)), 10),
+        (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)), 5),
+    ):
+        seen.clear()
         solve_spectrum(prob, N=N)
-        assert work_counts["integrate"] <= max_integrate, work_counts
+        assert len(set(seen)) == len(seen), (prob, len(seen) - len(set(seen)))
+
+
+def _dilated(p, q, rho, bc_a, bc_b, k, m, j):
+    """The problem on [0, c] with p c-dilated and times P, rho times R, q and alpha
+    to match (c = 2^k, R = 2^m, P = 2^j), and its lambda / unit lambda."""
+    c, R, P = 2.0 ** k, 2.0 ** m, 2.0 ** j
+
+    def at(src):
+        return src.replace("z", f"(z/{c!r})")
+
+    prob = SLProblem.from_strings(
+        0.0, c, f"{P!r}*({at(p)})", f"{P / c ** 2!r}*({at(q)})", f"{R!r}*({at(rho)})",
+        (bc_a[0] * c, bc_a[1]), (bc_b[0] * c, bc_b[1]),
+    )
+    return prob, P / (R * c * c)
+
+
+@pytest.mark.parametrize(
+    "unit, N",
+    [(("1", "0", "1", (1.0, -0.3), (1.0, 0.2)), 30),
+     (("1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)), 3)],
+    ids=["robin", "varcoef"],
+)
+def test_dilation_is_exact(unit, N, work_counts):
+    # power-of-two factors map the problem onto its unit problem without rounding
+    base = solve_spectrum(SLProblem.from_strings(0.0, 1.0, *unit), N=N)
+    base_counts = dict(work_counts)
+    for k, m, j in ((5, -3, 2), (-4, 6, -1), (10, 0, 7)):
+        prob, scale = _dilated(*unit, k, m, j)
+        work_counts.update(integrate=0, rhs=0)
+        dec = solve_spectrum(prob, N=N)
+        assert np.array_equal(dec.eigenvalues, scale * base.eigenvalues), (k, m, j)
+        assert work_counts == base_counts, (k, m, j, work_counts, base_counts)
+
+
+def test_neumann_cost_and_accuracy_do_not_depend_on_length(work_counts):
+    N = 10
+    rhs = {}
+    for L in (1.0, 50.0, 0.02):
+        prob = SLProblem.from_strings(0.0, L, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
+        work_counts.update(rhs=0)
+        dec = solve_spectrum(prob, N=N)
+        rhs[L] = work_counts["rhs"]
+        exact = -((np.arange(N) * math.pi / L) ** 2)
+        err = np.abs(dec.eigenvalues - exact) * L ** 2  # in unit variables
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(exact) * L ** 2)), (L, err)
+        V = dec.values_matrix()
+        gram = (V * dec.grid.weights) @ V.T
+        assert np.max(np.abs(gram - np.eye(N))) <= 1e-6, L
+        for n, f in enumerate(dec.eigenfunctions):
+            assert max(map(abs, bc_residual(prob, f))) <= 1e-8, L
+            # f = sqrt(2/L) cos(n pi z/L) up to sign, with f'' = lambda f
+            if n:
+                w = n * math.pi / L
+                assert np.allclose(f.values ** 2 + (f.deriv / w) ** 2, 2.0 / L, rtol=1e-8), (L, n)
+                assert np.allclose(f.deriv2 / w ** 2, -f.values, atol=1e-8 / math.sqrt(L)), (L, n)
+    assert rhs[50.0] <= 2 * rhs[1.0] and rhs[0.02] <= 2 * rhs[1.0], rhs
+
+
+def _window(msg):
+    return [float(x) for x in re.search(r"L in \[(\S+), (\S+)\]", msg).groups()]
+
+
+@pytest.mark.parametrize(
+    "unit_q, q, bc_a, what",
+    [("0", "0", (1.0, 5.0), "eigenvalue 1 not bracketed below"),
+     ("1e4*z^8", "4*(z/50)^8", (0.0, 1.0), "eigenvalue 3 not bracketed")],
+    ids=["scan", "ladder"],
+)
+def test_bracket_errors_in_caller_units(unit_q, q, bc_a, what):
+    # [0, 50] maps onto [0, 1] with lambda = lambda^ / 2500; the scan starts at
+    # lambda^ = min q^ - 1 and the ladder ends at the guesses' top
+    msgs = []
+    for b, q_src, alpha in ((1.0, unit_q, bc_a[0] / 50.0), (50.0, q, bc_a[0])):
+        prob = SLProblem.from_strings(0.0, b, "1", q_src, "1", (alpha, bc_a[1]), (0.0, 1.0))
+        with pytest.raises(eigensolve.EigenvalueBracketError) as info:
+            solve_spectrum(prob, N=3, max_bracket_expansions=0)
+        msgs.append(str(info.value))
+    for msg in msgs:
+        assert msg.startswith(what + ": L in [") and msg.endswith(", plain Pruefer form at hi"), msg
+    assert np.allclose(np.array(_window(msgs[1])) * 2500.0, _window(msgs[0]), rtol=1e-9), msgs
+    if what.endswith("below"):
+        assert _window(msgs[1]) == [-0.0004, -0.0004], msgs
+
+
+def test_round_cap_error_in_caller_units(monkeypatch):
+    prob = SLProblem.from_strings(0.0, 50.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
+    sh = eigensolve._Shooter(prob, make_grid(prob.interval), 1e-12)
+    monkeypatch.setattr(sh, "miss", lambda lams, kidx: np.full(len(lams), np.nan))
+    with pytest.raises(eigensolve.EigenvalueBracketError) as info:
+        eigensolve._search(sh, [100.0], [200.0], [-1.0], [1.0], np.array([2.0]))
+    msg = str(info.value)
+    assert msg == ("eigenvalue 3 not converged in 200 rounds: L in [0.04, 0.08], "
+                   "scaled Pruefer form at hi"), msg
+
+
+def test_step_underflow_in_caller_units(monkeypatch):
+    # the first integration is the scan edge lambda^ = -1, i.e. lambda = -1/2500
+    plain = eigensolve._PlainRHS.__call__
+
+    def nan_past(self, s, y, lams, ncomp):
+        return plain(self, s, y, lams, ncomp) if s <= 0.4 else np.full_like(y, math.nan)
+
+    monkeypatch.setattr(eigensolve._PlainRHS, "__call__", nan_past)
+    prob = SLProblem.from_strings(0.0, 50.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
+    with pytest.raises(RuntimeError) as info:
+        solve_spectrum(prob, N=3)
+    msg = str(info.value)
+    assert msg.startswith("plain Pruefer ODE step size underflow"), msg
+    assert "lambda in [-0.0004, -0.0004]" in msg, msg
+    z = float(re.search(r"z=(\S+),", msg).group(1))
+    h = float(re.search(r"h=(\S+),", msg).group(1))
+    assert 19.0 < z <= 20.0 and 0.0 < h < 50 * 1e-14, msg
+
+
+@pytest.mark.parametrize("q, N", [("-100", 2), ("-1000", 3)])
+def test_ladder_expands_upwards_below_zero(q, N):
+    # a ladder top below 0 used to be pushed further down (2 top + 10), so the
+    # solve ran to the expansion cap at ever larger |lambda| and never returned
+    prob = SLProblem.from_strings(0.0, 1.0, "1", q, "1", (0.0, 1.0), (0.0, 1.0))
+    dec = solve_spectrum(prob, N=N, max_bracket_expansions=5)
+    exact = -((np.arange(1.0, N + 1.0) * math.pi) ** 2) - float(q)
+    assert np.max(np.abs(dec.eigenvalues - exact) / np.abs(exact)) < 1e-10
 
 
 class _NoisyMiss:
     """A batched miss x - r_k + 1e-12 sin(1e15 (x - r_k)): many sign changes
     within 1e-12 of each root r_k, and exactly 0 at r_k itself."""
+
+    lam_scale = 1.0  # the search's lambdas are the caller's
 
     def __init__(self, roots):
         self.roots = np.asarray(roots, dtype=float)
@@ -350,10 +501,11 @@ def test_integrate_rejects_bad_z_out(z_out, match):
 
 
 class _NaNRHS(eigensolve._PlainRHS):
-    """Finite up to z = 1, NaN past it."""
+    """Finite up to z = 1, NaN past it; z and lambda are the caller's."""
 
     def __init__(self):
-        pass
+        unit = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 1.0), (0.0, 1.0))
+        super().__init__(eigensolve._UnitMap(unit))
 
     def __call__(self, z, y, lams, ncomp):
         return np.full_like(y, 1.0 if z <= 1.0 else math.nan)
