@@ -64,7 +64,7 @@ from .semigroup import (
     trajectory_to_csv,
     trajectory_to_json,
 )
-from .oracle import FDOperator, assemble, crank_nicolson, fd_eigs
+from .oracle import FDOperator, assemble, crank_nicolson, fd_eigs, fd_eigs_extrapolated
 from .casestudy import (
     CaseStudySpectrum,
     DCRModel,

@@ -12,6 +12,9 @@ with S = sqrt(p (L rho - q)):
     theta' = omega(z) + (S'/S) sin(theta) cos(theta),  omega = sqrt((L rho - q)/p)
     (log w)' = (S'/S) sin^2(theta)
 
+Both are evaluated in double angles (sin theta cos theta = sin(2 theta)/2,
+sin^2 theta = (1 - cos 2 theta)/2), which takes fewer array operations.
+
 The scaled form removes the fast oscillation from the right-hand side (for
 constant coefficients theta' is exactly omega), which is what makes high
 eigenvalue indices affordable.  In both forms theta(b; L) increases through
@@ -19,8 +22,10 @@ the boundary-angle targets one pi per index, so every eigenvalue is found by
 bracketed iteration on the phase miss with its index guaranteed.  A round
 of that search costs one integration whatever its batch width, so rounds,
 not lambda values, are what it saves (multi-point search, as in SLEIGN2 and
-Pryce 1993, ch. 5): each open bracket evaluates its secant estimate and a
-fan of points around it, then keeps the tightest sign change among them.
+Pryce 1993, ch. 5): each open bracket evaluates a root estimate and a fan
+of points around it, then keeps the tightest sign change among them.  The
+estimate interpolates the inverse of the miss through the bracket ends and
+the points just outside them (Alefeld, Potra & Shi, ACM TOMS 748, 1995).
 The phase ODE is integrated with the adaptive embedded Dormand-Prince 5(4)
 pair, stages written out as in the DOPRI5 code of Hairer, Norsett & Wanner
 (first stage of a step = last stage of the step before), vectorized across
@@ -80,7 +85,7 @@ SCHEMA_VERSION = 1
 
 # The root iteration stops once hi - lo <= ROOT_RTOL * max(1, |hi|).
 ROOT_RTOL = 1e-13
-# Fan points on each side of the secant estimate in each search round.
+# Fan points on each side of the root estimate in each search round.
 FAN = 4
 # |lambda| <= ZERO_EIGENVALUE_TOL reads as lambda = 0: ten stopping
 # tolerances, where max(1, |lambda|) = 1.
@@ -166,31 +171,31 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
     while z < z1 - 1e-15 * max(1.0, abs(z1)):
         h = min(dz, z1 - z)
         while True:
-            k2 = f(z + 0.2 * h, y + h * (0.2 * k1))
-            k3 = f(z + 0.3 * h, y + h * (3 / 40 * k1 + 9 / 40 * k2))
-            k4 = f(z + 0.8 * h, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-            y5 = y + h * (
-                19372 / 6561 * k1 - 25360 / 2187 * k2
-                + 64448 / 6561 * k3 - 212 / 729 * k4
+            k2 = f(z + 0.2 * h, y + (0.2 * h) * k1)
+            k3 = f(z + 0.3 * h, y + (3 / 40 * h) * k1 + (9 / 40 * h) * k2)
+            k4 = f(z + 0.8 * h, y + (44 / 45 * h) * k1 - (56 / 15 * h) * k2 + (32 / 9 * h) * k3)
+            y5 = (
+                y + (19372 / 6561 * h) * k1 - (25360 / 2187 * h) * k2
+                + (64448 / 6561 * h) * k3 - (212 / 729 * h) * k4
             )
             k5 = f(z + 8 / 9 * h, y5)
-            y6 = y + h * (
-                9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                + 49 / 176 * k4 - 5103 / 18656 * k5
+            y6 = (
+                y + (9017 / 3168 * h) * k1 - (355 / 33 * h) * k2 + (46732 / 5247 * h) * k3
+                + (49 / 176 * h) * k4 - (5103 / 18656 * h) * k5
             )
             k6 = f(z + h, y6)
             # 5th-order solution; its slope k7 is the next step's k1
-            ynew = y + h * (
-                35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
-                - 2187 / 6784 * k5 + 11 / 84 * k6
+            ynew = (
+                y + (35 / 384 * h) * k1 + (500 / 1113 * h) * k3 + (125 / 192 * h) * k4
+                - (2187 / 6784 * h) * k5 + (11 / 84 * h) * k6
             )
             k7 = f(z + h, ynew)
-            errv = h * (
-                71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
-                - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7
+            errv = (
+                (71 / 57600 * h) * k1 - (71 / 16695 * h) * k3 + (71 / 1920 * h) * k4
+                - (17253 / 339200 * h) * k5 + (22 / 525 * h) * k6 - (1 / 40 * h) * k7
             )
             err = np.abs(errv) / (atol + rtol * np.maximum(np.abs(ynew), np.abs(y)))
-            emax = float(np.max(err)) if err.size else 0.0
+            emax = float(err.max()) if err.size else 0.0
             if emax <= 1.0:
                 break
             h *= min(0.9, max(0.2, 0.9 * emax ** -0.2))
@@ -280,12 +285,14 @@ class _PlainRHS:
 
     def __call__(self, z, y, lams, ncomp):
         pz, qz, rz = self.coeffs(z)
-        th = y[0]
-        s, c = np.sin(th), np.cos(th)
+        # cos^2/p + u sin^2 = (1/p + u)/2 + (1/p - u)/2 cos 2theta, u = L rho - q
+        hp, hu = 0.5 / pz, lams * (0.5 * rz) - 0.5 * qz
+        th2 = 2.0 * y[0]
+        dtheta = (hp + hu) + (hp - hu) * np.cos(th2)
+        if ncomp == 1:
+            return dtheta
         out = np.empty_like(y)
-        out[0] = c * c / pz + (lams * rz - qz) * s * s
-        if ncomp > 1:
-            out[1] = s * c * (1.0 / pz + qz - lams * rz)
+        out[0], out[1] = dtheta, (hp - hu) * np.sin(th2)
         return out
 
 
@@ -304,15 +311,15 @@ class _ScaledRHS:
     def __call__(self, z, y, lams, ncomp):
         pz, qz, rz, dpz, dqz, drz = self.coeffs(z)
         u = lams * rz - qz  # > 0 by mode selection
-        du = lams * drz - dqz
         omega = np.sqrt(u / pz)
-        g = 0.5 * (dpz * u + pz * du) / (pz * u)  # S'/S
-        th = y[0]
-        s, c = np.sin(th), np.cos(th)
+        # g = S'/S / 2 = p'/(4p) + (L rho' - q')/(4u): theta' = omega + g sin 2theta
+        g = (lams * (0.25 * drz) - 0.25 * dqz) / u + 0.25 * dpz / pz
+        th2 = 2.0 * y[0]
+        dtheta = omega + g * np.sin(th2)
+        if ncomp == 1:
+            return dtheta
         out = np.empty_like(y)
-        out[0] = omega + g * s * c
-        if ncomp > 1:
-            out[1] = g * s * s
+        out[0], out[1] = dtheta, g - g * np.cos(th2)
         return out
 
 
@@ -507,16 +514,34 @@ def _bracket_error(sh, k, what: str, lo: float, hi: float) -> EigenvalueBracketE
     )
 
 
+def _neville_at_zero(xs, fs):
+    """x at f = 0 of the polynomials x(f) through the first 2, 3, ... of the
+    points (xs[i], fs[i]) (arrays of one shape): secant, inverse quadratic, ..."""
+    p, out = list(xs), []
+    for k in range(1, len(xs)):
+        p = [(fs[i + k] * p[i] - fs[i] * p[i + 1]) / (fs[i + k] - fs[i]) for i in range(len(p) - 1)]
+        out.append(p[0])
+    return out
+
+
 def _search(sh, lo, hi, flo, fhi, kidx):
     """Shrink brackets flo < 0 <= fhi on roots of sh.miss(L, k) to the stopping rule.
 
-    A round makes one miss() call: each open bracket's secant estimate x and
-    fan x +- u 4^-j (j < FAN, offsets >= tol/2), u being four times the last
-    move of x (width/4 at first) kept in [tol, width/2].  Each bracket keeps
-    the tightest adjacent sign change among its endpoints and the new points.
+    A round makes one miss() call: each open bracket's estimate x and fan
+    x +- u 4^-j (j < FAN, offsets >= tol/2), u kept in [tol, width/2].  The
+    estimate is the inverse cubic (Alefeld, Potra & Shi 1995) through the
+    bracket ends and the points evaluated just outside them in the last
+    round, with u four times its distance to the inverse quadratic through
+    the ends and the nearer of those points.  Without both points, or when
+    the cubic is not finite or not inside the bracket, x is the clipped
+    secant and u four times the last move of x (width/4 at first).  Each
+    bracket keeps the tightest adjacent sign change among its endpoints and
+    the new points.
     """
     lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
     x_prev = np.full(lo.size, np.nan)
+    # the points evaluated just below and above each bracket in the last round
+    xl, fl, xr, fr = np.full((4, lo.size), np.nan)
     for rounds in range(201):
         tol = ROOT_RTOL * np.maximum(1.0, np.abs(hi))
         idx = np.flatnonzero(hi - lo > tol)
@@ -527,8 +552,17 @@ def _search(sh, lo, hi, flo, fhi, kidx):
             raise _bracket_error(sh, kidx[i], "not converged in 200 rounds", lo[i], hi[i])
         a, b, fa, fb, t = lo[idx], hi[idx], flo[idx], fhi[idx], tol[idx]
         w = b - a
-        x = np.clip((a * fb - b * fa) / (fb - fa), a + 1e-3 * w, b - 1e-3 * w)
+        # the outside point with the smaller |miss| goes third, so quad is the better quadratic
+        near_left = np.abs(fl[idx]) <= np.abs(fr[idx])
+        n1x, n2x = np.where(near_left, xl[idx], xr[idx]), np.where(near_left, xr[idx], xl[idx])
+        n1f, n2f = np.where(near_left, fl[idx], fr[idx]), np.where(near_left, fr[idx], fl[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):  # equal misses give inf or nan
+            secant, quad, cubic = _neville_at_zero((a, b, n1x, n2x), (fa, fb, n1f, n2f))
+            u_cubic = 4.0 * np.abs(cubic - quad)
+        x = np.clip(secant, a + 1e-3 * w, b - 1e-3 * w)
         u = np.where(np.isnan(x_prev[idx]), 0.25 * w, 4.0 * np.abs(x - x_prev[idx]))
+        ok = (cubic > a) & (cubic < b) & np.isfinite(u_cubic)  # false where a neighbour is nan
+        x, u = np.where(ok, cubic, x), np.where(ok, u_cubic, u)
         u = np.minimum(np.maximum(u, t), 0.5 * w)
         x_prev[idx] = x
         off = u[:, None] * 0.25 ** np.arange(FAN)
@@ -544,12 +578,18 @@ def _search(sh, lo, hi, flo, fhi, kidx):
         gap = np.where((F[:, :-1] < 0.0) & (F[:, 1:] >= 0.0), np.diff(X, axis=1), np.inf)
         r, j = np.arange(idx.size), np.argmin(gap, axis=1)
         lo[idx], flo[idx], hi[idx], fhi[idx] = X[r, j], F[r, j], X[r, j + 1], F[r, j + 1]
+        # the last point below the new lo and the first above the new hi, as
+        # columns of X padded with nan on both sides
+        below = np.sum(X < X[r, j, None], axis=1)
+        above = np.sum(X <= X[r, j + 1, None], axis=1) + 1
+        X, F = (np.pad(v, ((0, 0), (1, 1)), constant_values=np.nan) for v in (X, F))
+        xl[idx], fl[idx], xr[idx], fr[idx] = X[r, below], F[r, below], X[r, above], F[r, above]
 
 
 def solve_spectrum(
     prob: SLProblem,
     N: int = 64,
-    panels: int = DEFAULT_PANELS,
+    panels: Optional[int] = None,
     points: int = DEFAULT_POINTS,
     ode_rtol: float = 1e-12,
     max_bracket_expansions: int = 60,
@@ -562,11 +602,13 @@ def solve_spectrum(
     Eigenfunctions come from the amplitude equation, rho-normalized, with
     phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).  Either edge of
     the bracketing scan is pushed out at most max_bracket_expansions times
-    before EigenvalueBracketError is raised.
+    before EigenvalueBracketError is raised.  The default grid has
+    max(DEFAULT_PANELS, N) panels, about one per mode, so high modes stay
+    resolved.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    grid = make_grid(prob.interval, panels, points)
+    grid = make_grid(prob.interval, max(DEFAULT_PANELS, N) if panels is None else panels, points)
     sh = _Shooter(prob, grid, ode_rtol)  # from here on, everything is in unit variables
     kvec = np.arange(N, dtype=float)
 

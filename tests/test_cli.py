@@ -49,6 +49,20 @@ def test_eigs_explicit_config(tmp_path):
     assert doc["eigenvalues"][0] == pytest.approx(-0.9601888739147829 ** 2, rel=1e-9)
 
 
+def test_eigs_200_modes_exits_0(tmp_path):
+    # the default grid grows with N; at 64 panels the rho-Gram was off by 1.2e-3
+    cfg = tmp_path / "nd.json"
+    cfg.write_text(json.dumps({
+        "interval": [0, 1], "p": "1", "q": "0", "rho": "1",
+        "bc_a": [1, 0], "bc_b": [0, 1],
+    }))
+    out = str(tmp_path / "nd-eigs.json")
+    assert main(["eigs", str(cfg), "--modes", "200", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert doc["grid"]["panels"] == 200
+    assert doc["residuals"]["orthonormality"] <= 1e-6
+
+
 def test_eigs_dcr_includes_case_study(dcr_config, tmp_path):
     out = str(tmp_path / "dcr-eigs.json")
     assert main(["eigs", dcr_config, "--modes", "10", "--out", out]) == 0

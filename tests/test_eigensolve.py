@@ -203,6 +203,31 @@ def test_search_rounds(anchor_counts):
         assert anchor_counts[name]["integrate"] <= max_integrate, (name, anchor_counts[name])
 
 
+def test_interpolated_search_work(anchor_counts):
+    # The inverse cubic estimate took 9 and 13 integrations (25.0k and 17.5k
+    # RHS calls) here; the secant estimate with its fan took 15 and 17.
+    for name, max_integrate, max_rhs in (("p1z2", 11, 29_000), ("dcr", 15, 20_000)):
+        counts = anchor_counts[name]
+        assert counts["integrate"] <= max_integrate, (name, counts)
+        assert counts["rhs"] <= max_rhs, (name, counts)
+
+
+def test_default_grid_grows_with_N():
+    # 64 panels of 8 points left the rho-Gram of Neumann-Dirichlet off by
+    # 1.2e-3 at N = 200; up to N = 64 the default grid is unchanged
+    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, 0.0), (0.0, 1.0))
+    assert solve_spectrum(prob, N=64).grid.panels == 64
+    N = 200
+    dec = solve_spectrum(prob, N=N)
+    assert dec.grid.panels == N
+    V = dec.values_matrix()
+    gram = (V * dec.grid.weights) @ V.T
+    assert np.max(np.abs(gram - np.eye(N))) <= 1e-6
+    assert max(max(map(abs, bc_residual(prob, f))) for f in dec.eigenfunctions) <= 1e-8
+    exact = -((np.arange(N) + 0.5) * math.pi) ** 2
+    assert np.max(np.abs(dec.eigenvalues - exact) / np.abs(exact)) <= 1e-10
+
+
 def test_no_lambda_shot_twice(monkeypatch):
     # the ladder reuses the scan's miss at its lower edge instead of integrating it again
     seen = []
@@ -378,6 +403,27 @@ def test_search_on_noisy_miss():
     assert np.array_equal(flo, stub.f(lo, kidx)) and np.array_equal(fhi, stub.f(hi, kidx))
     assert np.all(flo < 0.0) and np.all(fhi >= 0.0)
     assert stub.calls <= 8, stub.calls
+
+
+class _SqrtMiss(_NoisyMiss):
+    """A smooth batched miss sqrt(x) - sqrt(r_k): curved enough over a wide
+    bracket that its secant estimate lands far from the root."""
+
+    def f(self, lams, kidx):
+        return np.sqrt(np.asarray(lams)) - np.sqrt(self.roots[np.asarray(kidx, dtype=int)])
+
+
+def test_interpolated_search_on_smooth_miss():
+    # brackets [r/100, 100 r]; the secant estimate with its fan took 9 miss() calls
+    roots = np.array([0.5, 3.0, 40.0, 700.0, 9e3])
+    kidx = np.arange(roots.size, dtype=float)
+    lo, hi = roots / 100.0, roots * 100.0
+    stub = _SqrtMiss(roots)
+    lo, hi, flo, fhi = eigensolve._search(stub, lo, hi, stub.f(lo, kidx), stub.f(hi, kidx), kidx)
+    assert np.all(hi - lo <= eigensolve.ROOT_RTOL * np.maximum(1.0, np.abs(hi)))
+    assert np.all(flo < 0.0) and np.all(fhi >= 0.0)
+    assert np.allclose(lo, roots, rtol=1e-12, atol=0.0)
+    assert stub.calls <= 4, stub.calls
 
 
 class _NaNMiss(_NoisyMiss):

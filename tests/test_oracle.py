@@ -7,7 +7,8 @@ import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
 from slspectra.core import SLProblem
-from slspectra.oracle import FDOperator, assemble, crank_nicolson, fd_eigs
+from slspectra.eigensolve import solve_spectrum
+from slspectra.oracle import FDOperator, assemble, crank_nicolson, fd_eigs, fd_eigs_extrapolated
 from slspectra.casestudy import dcr_sl_problem, transformed_problem
 
 
@@ -45,6 +46,16 @@ def test_weighted_problem_agreement(model, weighted_dec):
     vals, _ = fd_eigs(op, 5)
     rel = np.abs(vals - weighted_dec.eigenvalues[:5]) / np.abs(vals)
     assert np.max(rel) < 1e-3
+
+
+def test_extrapolated_oracle_matches_solver(model, weighted_dec):
+    # two Richardson steps over M = 200, 400, 800: 1e-9 where plain FD at
+    # M = 4000 is checked to 1e-3
+    p1z2 = SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5))
+    for prob, lam in ((p1z2, solve_spectrum(p1z2, N=10).eigenvalues),
+                      (dcr_sl_problem(model), weighted_dec.eigenvalues)):
+        ref = fd_eigs_extrapolated(prob, 10, 200)
+        assert np.max(np.abs(ref - lam[:10]) / np.abs(lam[:10])) <= 1e-9
 
 
 def test_symmetrized_matrix_consistency(model):
