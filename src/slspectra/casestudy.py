@@ -24,7 +24,7 @@ which is the modal test for infinite-time approximate observability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +41,6 @@ from .core import (
     find_root,
     apply_operator,
     inner_product_rho,
-    integrate,
     make_grid,
 )
 from .expressions import parse_coeff

@@ -34,12 +34,11 @@ from .core import (
     bc_residual,
     find_root,
     grid_function,
-    inner_product_rho,
     make_grid,
 )
 from .expressions import ExprSyntaxError, parse_coeff
 from .eigensolve import ModalCoefficients, coefficients_of, solve_spectrum, synthesize
-from .fracspace import fractional_space, norm_alpha, scaling_identity_check
+from .fracspace import fractional_space, scaling_identity_check
 from .semigroup import (
     evolve,
     growth_bound,
@@ -48,7 +47,7 @@ from .semigroup import (
     trajectory,
     trajectory_to_csv,
 )
-from .oracle import assemble, crank_nicolson, fd_eigs
+from .oracle import assemble, crank_nicolson
 from .casestudy import (
     DCRModel,
     closed_form_eigenfunction,
@@ -115,11 +114,15 @@ CONFIG_SCHEMA = {
 # best_match picks the same error jsonschema.validate would raise
 CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
-VERIFY_SUITES = ("core", "eigs", "fracspace", "semigroup", "casestudy", "all")
-
 
 class InputError(Exception):
     pass
+
+
+def _preset_problem(name: str) -> SLProblem:
+    """The dirichlet or neumann preset: p = rho = 1 and q = 0 on [0, 1]."""
+    bc = (0.0, 1.0) if name == "dirichlet" else (1.0, 0.0)
+    return SLProblem.from_strings(0.0, 1.0, "1", "0", "1", bc, bc)
 
 
 def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], dict]:
@@ -138,12 +141,8 @@ def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], dict]:
 
     if "preset" in doc:
         name = doc["preset"]
-        if name == "dirichlet":
-            prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 1.0), (0.0, 1.0))
-            return prob, None, doc
-        if name == "neumann":
-            prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
-            return prob, None, doc
+        if name != "dcr":
+            return _preset_problem(name), None, doc
         model = DCRModel(float(doc.get("D", 1.0)), float(doc.get("k0", 0.75)))
         # the transformed constant-coefficient operator A (unshifted)
         return transformed_problem(model), model, doc
@@ -369,17 +368,17 @@ def _suite_core(seed: int):
 
 def _suite_eigs(seed: int):
     checks = []
-    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 1.0), (0.0, 1.0))
-    dec = solve_spectrum(prob, N=5)
+    dec = solve_spectrum(_preset_problem("dirichlet"), N=5)
     exact = -np.pi ** 2 * np.arange(1.0, 6.0) ** 2
     rel = float(np.max(np.abs(dec.eigenvalues - exact) / np.abs(exact)))
     checks.append(("dirichlet_eigs_rel_1e-8", rel <= 1e-8, rel))
     model = DCRModel(1.0, 0.75)
-    dec2 = solve_spectrum(transformed_problem(model), N=10)
+    tprob = transformed_problem(model)
+    dec2 = solve_spectrum(tprob, N=10)
     spec = solve_case_study(model, 10)
     gap = float(np.max(np.abs(dec2.eigenvalues - spec.lam)))
     checks.append(("dcr_transformed_vs_closed_1e-8", gap <= 1e-8, gap))
-    res = [bc_residual(transformed_problem(model), f) for f in dec2.eigenfunctions]
+    res = [bc_residual(tprob, f) for f in dec2.eigenfunctions]
     mx = float(max(max(abs(a), abs(b)) for a, b in res))
     checks.append(("bc_residuals_1e-8", mx <= 1e-8, mx))
     return checks
@@ -387,8 +386,7 @@ def _suite_eigs(seed: int):
 
 def _suite_fracspace(seed: int):
     checks = []
-    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 1.0), (0.0, 1.0))
-    dec = solve_spectrum(prob, N=20)
+    dec = solve_spectrum(_preset_problem("dirichlet"), N=20)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for alpha in (0.25, 0.5, 1.0, 1.5):
@@ -404,8 +402,7 @@ def _suite_fracspace(seed: int):
 
 def _suite_semigroup(seed: int):
     checks = []
-    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 1.0), (0.0, 1.0))
-    dec = solve_spectrum(prob, N=12)
+    dec = solve_spectrum(_preset_problem("dirichlet"), N=12)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
@@ -459,23 +456,23 @@ def _suite_casestudy(seed: int):
     return checks
 
 
-_SUITE_FNS = {
+# the check registry: `verify` runs it, and so does tests/test_acceptance.py
+SUITES = {
     "core": _suite_core,
     "eigs": _suite_eigs,
     "fracspace": _suite_fracspace,
     "semigroup": _suite_semigroup,
     "casestudy": _suite_casestudy,
 }
+VERIFY_SUITES = (*SUITES, "all")
 
 
 def cmd_verify(args, argv) -> int:
     t0 = time.monotonic()
-    if args.suite not in VERIFY_SUITES:
-        raise InputError(f"unknown suite {args.suite!r}; pick from {VERIFY_SUITES}")
-    names = list(_SUITE_FNS) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        for cname, passed, value in _SUITE_FNS[name](args.seed):
+        for cname, passed, value in SUITES[name](args.seed):
             checks.append({"suite": name, "name": cname,
                            "passed": bool(passed), "value": float(value)})
     ok = all(c["passed"] for c in checks)

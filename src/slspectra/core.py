@@ -8,7 +8,7 @@ boundary data or by Lagrange extrapolation of the end panels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np

@@ -144,10 +144,6 @@ class RescaledBasis:
     functions: List[GridFunction]
     parent: FractionalSpace
 
-    def coefficient_vectors(self) -> np.ndarray:
-        """Rows: rho-basis coefficients of phi_{n,alpha} (diagonal matrix)."""
-        return np.diag(self.parent.weights(-self.parent.alpha))
-
 
 def rescaled_basis(fs: FractionalSpace) -> RescaledBasis:
     """phi_{n,alpha} = (mu - lambda_n)^(-alpha) phi_n as grid functions."""

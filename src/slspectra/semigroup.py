@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 

@@ -49,6 +49,12 @@ def transformed_dec50(model):
 
 
 @pytest.fixture(scope="session")
+def shifted_dec(model):
+    """The case study's full generator A - kappa I, five modes."""
+    return solve_spectrum(transformed_problem(model, include_kappa=True), N=5)
+
+
+@pytest.fixture(scope="session")
 def weighted_dec(model):
     return solve_spectrum(dcr_sl_problem(model), N=10)
 

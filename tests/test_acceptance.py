@@ -1,195 +1,24 @@
-"""Acceptance gate: the eleven headline criteria, one pass/fail line each.
+"""Acceptance gate: every `slspectra verify` suite at three seeds.
 
-Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
+The checks live once, in `slspectra.cli.SUITES`; this file only runs them.
+Seed 0 is the CLI default, 7 the README and perfbench seed, and 20260826 the
+seed of the Poincaré and norm-equivalence corpus. README "Testing" maps each
+of the paper's criteria to the module test that checks it.
+
+Run with `pytest -s tests/test_acceptance.py` to see one line per check.
 """
 
-import math
-
-import numpy as np
 import pytest
 
-from slspectra.core import (
-    BoundaryData,
-    GridFunction,
-    Interval,
-    grid_function,
-    make_grid,
-)
-from slspectra.eigensolve import ModalCoefficients, coefficients_of, solve_spectrum, synthesize
-from slspectra.fracspace import (
-    fractional_space,
-    inner_product_alpha,
-    norm_alpha,
-    rescaled_basis,
-    scaling_identity_check,
-)
-from slspectra.semigroup import evolve, growth_bound, is_compact, is_exponentially_stable, trajectory
-from slspectra.oracle import assemble, crank_nicolson, fd_eigs
-from slspectra.casestudy import (
-    closed_form_eigenfunction,
-    dcr_sl_problem,
-    h1_inner_product,
-    norm_equivalence,
-    observability_from_values,
-    observability_test,
-    poincare_check,
-    transformed_problem,
-    trig_corpus,
-)
-
-ALPHAS = (0.25, 0.5, 1.0, 1.5)
+from slspectra.cli import SUITES
 
 
-def _report(n, ok, detail):
-    print(f"ACCEPTANCE {n:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
-
-
-def test_criterion_01_characteristic_roots_and_fd_cross_check(model, cs_spec50):
-    res = float(np.max(cs_spec50.residuals()[:20]))
-    s1_ok = 0.5 < cs_spec50.s[0] < math.pi / 2.0
-    op = assemble(transformed_problem(model), M=4000)
-    vals, _ = fd_eigs(op, 10)
-    rel = float(np.max(np.abs(vals - cs_spec50.lam[:10]) / np.abs(cs_spec50.lam[:10])))
-    ok = res <= 1e-10 and s1_ok and rel <= 1e-3
-    _report(1, ok, f"char residual {res:.2e} (<=1e-10), fd rel err {rel:.2e} (<=1e-3)")
-
-
-def test_criterion_02_normalization_constants(cs_spec50, std_grid):
-    worst = 0.0
-    for n in range(1, 21):
-        phi = closed_form_eigenfunction(cs_spec50, n, std_grid)
-        nrm = math.sqrt(float(np.dot(phi.values ** 2, std_grid.weights)))
-        worst = max(worst, abs(nrm - 1.0))
-    _report(2, worst <= 1e-8, f"max |L2 norm - 1| = {worst:.2e} (<=1e-8)")
-
-
-def test_criterion_03_rescaled_basis_orthonormal(dirichlet_dec, transformed_dec50):
-    worst = 0.0
-    cases = [(dirichlet_dec, None), (transformed_dec50.truncate(20), 0.0)]
-    for dec, mu in cases:
-        for alpha in ALPHAS:
-            fs = (fractional_space(dec, alpha, mu=mu) if mu is not None
-                  else fractional_space(dec, alpha, epsilon=1.0))
-            coefs = [coefficients_of(f, dec) for f in rescaled_basis(fs).functions]
-            G = np.array([[inner_product_alpha(fs, ci, cj) for cj in coefs] for ci in coefs])
-            worst = max(worst, float(np.max(np.abs(G - np.eye(dec.N)))))
-    _report(3, worst <= 1e-6, f"max alpha-Gram deviation {worst:.2e} (<=1e-6), "
-            f"alphas {ALPHAS}, Dirichlet + case study")
-
-
-def test_criterion_04_h1_identification(cs_spec50, std_grid):
-    half = [
-        closed_form_eigenfunction(cs_spec50, n, std_grid).scaled(1.0 / float(cs_spec50.s[n - 1]))
-        for n in range(1, 21)
-    ]
-    G = np.array([[h1_inner_product(f, g) for g in half] for f in half])
-    err = float(np.max(np.abs(G - np.eye(20))))
-    _report(4, err <= 1e-6, f"boundary-plus-gradient Gram deviation {err:.2e} (<=1e-6)")
-
-
-def test_criterion_05_scaling_identity(dirichlet_dec):
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for alpha in ALPHAS:
-        fs = fractional_space(dirichlet_dec, alpha, epsilon=1.0)
-        for _ in range(100):
-            c = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
-            n = int(rng.integers(1, 21))
-            lhs, rhs = scaling_identity_check(fs, c, n)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    _report(5, worst <= 1e-10, f"max relative error {worst:.2e} (<=1e-10), 100x4 samples")
-
-
-def test_criterion_06_semigroup_laws(dirichlet_dec):
-    rng = np.random.default_rng(43)
-    c0 = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
-    identity_ok = np.array_equal(evolve(dirichlet_dec, c0, 0.0).coefficients, c0.coefficients)
-    comp_worst = 0.0
-    for _ in range(100):
-        c = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
-        t, s = rng.uniform(0.0, 0.3, size=2)
-        one = evolve(dirichlet_dec, c, t + s).coefficients
-        two = evolve(dirichlet_dec, evolve(dirichlet_dec, c, t), s).coefficients
-        comp_worst = max(comp_worst, float(np.max(np.abs(one - two))))
-    fs = fractional_space(dirichlet_dec, 0.5, epsilon=1.0)
-    traj = trajectory(dirichlet_dec, c0, np.linspace(0.0, 1.0, 9), alpha_space=fs)
-    gb_rho = float(np.max(growth_bound(dirichlet_dec, traj)))
-    env = np.exp(dirichlet_dec.gamma * traj.times) * traj.norms_alpha[0]
-    gb_alpha = float(np.max(traj.norms_alpha / env))
-    ok = identity_ok and comp_worst <= 1e-12 and gb_rho <= 1 + 1e-10 and gb_alpha <= 1 + 1e-10
-    _report(6, ok, f"T(0)=I exact, composition {comp_worst:.2e} (<=1e-12), "
-            f"growth bounds rho {gb_rho:.12f} / alpha {gb_alpha:.12f} (<=1+1e-10)")
-
-
-def test_criterion_07_stability_and_compactness(model, neumann_dec, dirichlet_dec, transformed_dec50):
-    dec_shift = solve_spectrum(transformed_problem(model, include_kappa=True), N=5)
-    stable, rate = is_exponentially_stable(dec_shift)
-    s1 = 0.9601888739147829
-    margin_ok = stable and abs(rate - (s1 ** 2 + model.kappa)) < 1e-8
-    neumann_verdict = is_exponentially_stable(neumann_dec) == (False, 0.0)
-    compact_ok = (is_compact(dirichlet_dec) and is_compact(neumann_dec)
-                  and is_compact(transformed_dec50) and is_compact(dec_shift)
-                  and not is_compact(np.full(10, -1.0)))
-    ok = margin_ok and neumann_verdict and compact_ok
-    _report(7, ok, f"shifted case study stable with margin {rate:.9f} (= s1^2 + kappa), "
-            "Neumann (False, 0), compactness verdicts correct")
-
-
-def test_criterion_08_trajectory_oracle(model, transformed_dec50):
-    dec = transformed_dec50.truncate(32)
-    kappa = model.kappa
-    xi0 = grid_function(dec.grid, lambda z: np.exp(-z / 2.0))  # x0 = 1 transformed
-    c0 = coefficients_of(xi0, dec)
-    op = assemble(transformed_problem(model), M=2000)
-    x0_fd = np.exp(-op.nodes / 2.0)
-    worst = 0.0
-    for t in (0.05, 0.1, 0.5):
-        modal = synthesize(evolve(dec, c0, t, kappa=kappa))
-        xs = np.interp(op.nodes, dec.grid.nodes, modal.values)
-        x_fd = crank_nicolson(op, x0_fd, t, 1e-4) * math.exp(-kappa * t)
-        worst = max(worst, op.norm_rho(xs - x_fd))
-    _report(8, worst <= 1e-3, f"max modal-vs-CN L2 discrepancy {worst:.2e} (<=1e-3) "
-            "at t in {0.05, 0.1, 0.5}")
-
-
-def test_criterion_09_observability(cs_spec50):
-    r0 = observability_test(cs_spec50, 0.0, N=50)   # raises if the two routes
-    r1 = observability_test(cs_spec50, 1.0, N=50)   # disagree beyond 1e-8
-    forced = observability_from_values(
-        np.where(np.arange(50) == 24, 0.0, r0.values), 0.0, 0.5
-    )
-    ok = r0.verdict and r1.verdict and not forced.verdict and forced.offending_index == 25
-    _report(9, ok, f"verdicts z0=0 {r0.verdict}, z0=1 {r1.verdict} "
-            f"(min {min(r0.minimum, r1.minimum):.3e}); forced zero -> False")
-
-
-def test_criterion_10_poincare_and_equivalence(std_grid):
-    seed = 20260826
-    corpus = trig_corpus(std_grid, 1000, seed=seed)
-    violations = 0
-    for f in corpus:
-        lhs, rhs, _ = poincare_check(f)
-        if lhs > rhs + 1e-12:
-            violations += 1
-    report = norm_equivalence(corpus, seed=seed)
-    ok = violations == 0 and report.min_ratio >= 0.125 - 1e-10 and report.corpus_seed == seed
-    _report(10, ok, f"0/1000 Poincare violations, min ratio {report.min_ratio:.6f} "
-            f"(>=0.125), seed {report.corpus_seed}")
-
-
-def test_criterion_11_general_solver_sanity(dirichlet_dec, neumann_dec, dirichlet_problem):
-    n = np.arange(1.0, 6.0)
-    rel = float(np.max(np.abs(dirichlet_dec.eigenvalues[:5] + (n * math.pi) ** 2)
-                       / ((n * math.pi) ** 2)))
-    neu_ok = abs(neumann_dec.eigenvalues[0]) <= 1e-9
-    const_ok = float(np.max(np.abs(neumann_dec.eigenfunctions[0].values - 1.0))) <= 1e-8
-    errs = []
-    for M in (400, 800):
-        op = assemble(dirichlet_problem, M=M)
-        vals, _ = fd_eigs(op, 1)
-        errs.append(abs(vals[0] + math.pi ** 2))
-    ratio = errs[0] / errs[1]
-    ok = rel <= 1e-8 and neu_ok and const_ok and 3.6 <= ratio <= 4.4
-    _report(11, ok, f"Dirichlet rel err {rel:.2e} (<=1e-8), Neumann lambda_1 "
-            f"{neumann_dec.eigenvalues[0]:.2e} (<=1e-9), fd h^2 ratio {ratio:.3f} in [3.6, 4.4]")
+@pytest.mark.parametrize("seed", (0, 7, 20260826))
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_suite(suite, seed):
+    failed = []
+    for name, passed, value in SUITES[suite](seed):
+        print(f"ACCEPTANCE {suite}/{name} seed {seed}: {'PASS' if passed else 'FAIL'} {value:.3e}")
+        if not passed:
+            failed.append(name)
+    assert not failed, f"{suite} seed {seed} failed: {failed}"

@@ -131,7 +131,7 @@ def test_simulate_alpha_norms_monotone(dirichlet_config, tmp_path):
 def test_simulate_verify_against_oracle(dcr_config, tmp_path):
     out = str(tmp_path / "simv.json")
     assert main([
-        "simulate", dcr_config, "--x0", "1", "--times", "0.05,0.1",
+        "simulate", dcr_config, "--x0", "1", "--times", "0.05,0.1,0.5",
         "--modes", "32", "--verify", "--out", out,
     ]) == 0
     doc = json.loads(open(out).read())
@@ -194,6 +194,10 @@ def test_verify_suites(tmp_path, capsys):
     doc = json.loads(open(out).read())
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
+    # "all" lists every registry suite's checks once, in registry order
+    assert main(["verify", "--suite", "all", "--seed", "7", "--out", out]) == 0
+    listed = [(c["suite"], c["name"]) for c in json.loads(open(out).read())["checks"]]
+    assert listed == [(s, name) for s in cli.SUITES for name, _, _ in cli.SUITES[s](7)]
     # argparse rejects unknown suites -> input-error code
     assert main(["verify", "--suite", "bogus"]) == 1
     capsys.readouterr()
