@@ -1,6 +1,5 @@
 """Shared fixtures: the expensive spectral solves are computed once per session."""
 
-import numpy as np
 import pytest
 
 from slspectra.core import Interval, SLProblem, make_grid

@@ -8,14 +8,11 @@ import pytest
 from slspectra.core import (
     BoundaryData,
     GridFunction,
-    Interval,
     grid_function,
     inner_product_rho,
-    make_grid,
 )
 from slspectra.casestudy import (
     DCRModel,
-    characteristic,
     closed_form_eigenfunction,
     dcr_sl_problem,
     h1_full_inner_product,

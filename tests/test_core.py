@@ -1,6 +1,5 @@
 """Grids, quadrature, grid functions, operator application, root finding."""
 
-import io
 import math
 
 import numpy as np

@@ -2,23 +2,24 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slspectra
 import slspectra.eigensolve as eigensolve
 from slspectra.core import (
-    GridFunction,
     SLProblem,
     bc_residual,
     grid_function,
-    inner_product_rho,
     make_grid,
 )
 from slspectra.eigensolve import (
     ModalCoefficients,
-    SpectralDecomposition,
     coefficients_of,
     domain_membership,
     solve_spectrum,
@@ -66,8 +67,23 @@ def test_bc_residuals(transformed_dec50, model):
 
 
 def test_robin_eigenvalues_match_closed_form(transformed_dec50, cs_spec50):
+    # lambda_1 is the one plain-form eigenvalue here; with no cap on the plain
+    # form's steps their error estimate failed and it landed 4.8e-11 off
     gap = np.abs(transformed_dec50.eigenvalues - cs_spec50.lam)
-    assert np.max(gap / np.abs(cs_spec50.lam)) < 1e-10
+    assert np.max(gap / np.abs(cs_spec50.lam)) <= 1e-12
+
+
+def test_plain_form_step_cap():
+    # lambda_1 = -0.77 is the one plain-form eigenvalue here; with plain-form
+    # steps up to 1/4 long it landed 2.8e-11 off this reference, a solve at
+    # rtol 1e-14 with steps up to 1/64
+    prob = SLProblem.from_strings(
+        0.0, 1.0, "1 + 0.5123823134831604*z + 0.8167364359696581*z^2",
+        "0.19630107548010534 + 1.9236545571892218*z^3", "exp(0.7346671036848293*z)",
+        (1.0, -0.7424806575442979), (1.0, -0.06585358652345774),
+    )
+    lam1 = solve_spectrum(prob, N=1).eigenvalues[0]
+    assert abs(lam1 / -0.7708512551035408 - 1.0) <= 1e-11, lam1
 
 
 def test_weighted_route_agrees_after_shift(weighted_dec, cs_spec50, model):
@@ -205,8 +221,18 @@ def test_search_rounds(anchor_counts):
 
 def test_interpolated_search_work(anchor_counts):
     # The inverse cubic estimate took 9 and 13 integrations (25.0k and 17.5k
-    # RHS calls) here; the secant estimate with its fan took 15 and 17.
+    # RHS calls with Dormand-Prince 5(4) steps) here; the secant estimate
+    # with its fan took 15 and 17.
     for name, max_integrate, max_rhs in (("p1z2", 11, 29_000), ("dcr", 15, 20_000)):
+        counts = anchor_counts[name]
+        assert counts["integrate"] <= max_integrate, (name, counts)
+        assert counts["rhs"] <= max_rhs, (name, counts)
+
+
+def test_dop853_work(anchor_counts):
+    # Dormand-Prince 5(4) steps made 25.0k and 17.5k RHS calls in the same 9
+    # and 13 integrations
+    for name, max_integrate, max_rhs in (("p1z2", 9, 16_000), ("dcr", 13, 11_000)):
         counts = anchor_counts[name]
         assert counts["integrate"] <= max_integrate, (name, counts)
         assert counts["rhs"] <= max_rhs, (name, counts)
@@ -488,6 +514,8 @@ def test_recovery_reads_dense_output(work_counts):
 class _CosRHS:
     """theta' = cos z + 0.5: theta(b) = theta(a) + sin b - sin a + (b - a) / 2."""
 
+    max_step = math.inf
+
     def initial_step(self, lams, span):
         return 0.01
 
@@ -521,18 +549,41 @@ def test_integrator_closed_form(rhs):
         assert np.max(np.abs(row[0] - [rhs.exact(a, zt, t) for t in theta0])) <= 1e-11
 
 
+def test_dop853_tableau_matches_scipy():
+    # the tableau is written out so that importing slspectra does not load scipy.integrate
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        assert np.array_equal(getattr(eigensolve, "_" + name), getattr(ref, name)), name
+
+
+def test_import_loads_no_scipy_solvers():
+    # scipy.integrate adds about 0.4 s and 22 MiB of peak RSS to `import slspectra`
+    src = os.path.dirname(os.path.dirname(slspectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, slspectra; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]", res.stdout
+
+
 def test_dense_output_matches_scipy_interpolant():
-    # scipy's RK45 writes the same DOPRI5 continuous extension as a power basis
-    from scipy.integrate import RK45
+    # scipy's DOP853 dense output evaluates the same contd8 polynomial from F
+    from scipy.integrate._ivp.dop853_coefficients import B, D
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
 
     rng = np.random.default_rng(3)
-    K = rng.standard_normal((7, 2, 3))
+    K = rng.standard_normal((16, 2, 3))
     y, h = rng.standard_normal((2, 3)), 0.37
-    ynew = y + h * np.tensordot(RK45.B, K[:6], 1)
+    ynew = y + h * np.tensordot(B, K[:12], 1)
     theta = np.linspace(0.0, 1.0, 11)
-    got = eigensolve._dense(theta, y, ynew, h, K[0], *K[2:])
-    powers = theta[:, None] ** np.arange(1, 5)
-    want = y + h * np.tensordot(powers, np.tensordot(RK45.P.T, K, 1), 1)
+    got = eigensolve._contd8(theta, y, ynew, h, K)
+    dy = (ynew - y).ravel()
+    F = np.vstack([dy, h * K[0].ravel() - dy, 2 * dy - h * (K[12] + K[0]).ravel(),
+                   h * np.dot(D, K.reshape(16, -1))])
+    want = Dop853DenseOutput(0.0, h, y.ravel(), F)(theta * h).T.reshape(got.shape)
     assert np.max(np.abs(got - want)) <= 1e-14
 
 

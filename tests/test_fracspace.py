@@ -1,7 +1,5 @@
 """Fractional spaces: diagonal calculus, rescaled bases, scaling identity."""
 
-import math
-
 import numpy as np
 import pytest
 
