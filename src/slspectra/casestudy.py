@@ -203,8 +203,8 @@ def solve_case_study(model: DCRModel, N: int) -> CaseStudySpectrum:
     """Roots of the characteristic plus the closed-form lambda_n, k_n.
 
     Root m+1 lives in (m pi, m pi + pi/2); the first root has the seed
-    bracket (1/2, pi/2).  A missing sign change falls back to the full
-    period before being reported as an internal error.
+    bracket (1/2, pi/2).  Each bracket has a sign change: for m >= 1,
+    g(m pi) = -4 m pi (-1)^m and g(m pi + pi/2) = (-1)^m (4 s^2 - 1).
     """
     if model.D != 1.0:
         raise ValueError("closed-form spectrum requires D = 1")
@@ -212,16 +212,7 @@ def solve_case_study(model: DCRModel, N: int) -> CaseStudySpectrum:
         raise ValueError("N must be at least 1")
     roots = np.empty(N)
     for m in range(N):
-        if m == 0:
-            lo, hi = 0.5, math.pi / 2.0
-        else:
-            lo, hi = m * math.pi, m * math.pi + math.pi / 2.0
-            if characteristic(lo) * characteristic(hi) > 0.0:
-                hi = (m + 1) * math.pi  # full-period fallback
-        if characteristic(lo) * characteristic(hi) > 0.0:
-            raise RuntimeError(
-                f"internal error: no sign change for root {m + 1} in ({lo}, {hi})"
-            )
+        lo, hi = (0.5, math.pi / 2.0) if m == 0 else (m * math.pi, m * math.pi + math.pi / 2.0)
         roots[m] = _polish_root(find_root(characteristic, lo, hi, tol=1e-15))
     k = 2.0 * math.sqrt(2.0) * roots / np.sqrt(4.0 * roots * roots + 5.0)
     return CaseStudySpectrum(roots, -roots * roots, k, N)

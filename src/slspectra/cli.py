@@ -36,7 +36,7 @@ from .core import (
     grid_function,
     make_grid,
 )
-from .expressions import ExprSyntaxError, parse_coeff
+from .expressions import parse_coeff
 from .eigensolve import ModalCoefficients, coefficients_of, solve_spectrum, synthesize
 from .fracspace import fractional_space, scaling_identity_check
 from .semigroup import (
@@ -125,8 +125,13 @@ def _preset_problem(name: str) -> SLProblem:
     return SLProblem.from_strings(0.0, 1.0, "1", "0", "1", bc, bc)
 
 
-def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], dict]:
-    """Read, schema-validate, and materialize a problem config."""
+def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], str]:
+    """Read, schema-validate, and materialize a problem config.
+
+    Returns the problem, the DCR model of the dcr preset (else None), and
+    the text that was read, which the run manifest hashes.  A bad value in
+    the config raises ValueError.
+    """
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -142,21 +147,14 @@ def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], dict]:
     if "preset" in doc:
         name = doc["preset"]
         if name != "dcr":
-            return _preset_problem(name), None, doc
+            return _preset_problem(name), None, raw
         model = DCRModel(float(doc.get("D", 1.0)), float(doc.get("k0", 0.75)))
         # the transformed constant-coefficient operator A (unshifted)
-        return transformed_problem(model), model, doc
-    try:
-        a, b = doc["interval"]
-        prob = SLProblem.from_strings(
-            float(a), float(b), doc["p"], doc["q"], doc["rho"],
-            tuple(doc["bc_a"]), tuple(doc["bc_b"]),
-        )
-    except ExprSyntaxError as exc:
-        raise InputError(f"bad coefficient expression at offset {exc.offset}: {exc}")
-    except ValueError as exc:
-        raise InputError(str(exc))
-    return prob, None, doc
+        return transformed_problem(model), model, raw
+    prob = SLProblem.from_strings(
+        *doc["interval"], doc["p"], doc["q"], doc["rho"], doc["bc_a"], doc["bc_b"]
+    )
+    return prob, None, raw
 
 
 def _dump_json(doc: dict) -> str:
@@ -200,16 +198,11 @@ def _write_manifest(
     _atomic_write(out + ".manifest.json", _dump_json(doc))
 
 
-def _read_text(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
-
-
 # ---------------------------------------------------------------- eigs
 
 def cmd_eigs(args, argv) -> int:
     t0 = time.monotonic()
-    prob, model, _ = load_config(args.config)
+    prob, model, config_text = load_config(args.config)
     N = args.modes
     dec = solve_spectrum(prob, N=N)
     V = dec.values_matrix()
@@ -229,7 +222,7 @@ def cmd_eigs(args, argv) -> int:
             doc["case_study"] = spec.to_dict()
     text = _dump_json(doc)
     _emit(text, args.out)
-    _write_manifest(args.out, argv, _read_text(args.config), None,
+    _write_manifest(args.out, argv, config_text, None,
                     {"orthonormality": 1e-6, "bc_residual": 1e-8}, t0)
     if gram_err > 1e-6 or max_bc > 1e-8:
         return EXIT_TOLERANCE
@@ -250,12 +243,9 @@ def _parse_times(raw: str) -> np.ndarray:
 
 def cmd_simulate(args, argv) -> int:
     t0 = time.monotonic()
-    prob, model, _ = load_config(args.config)
+    prob, model, config_text = load_config(args.config)
     times = _parse_times(args.times)
-    try:
-        x0_expr = parse_coeff(args.x0)
-    except ExprSyntaxError as exc:
-        raise InputError(f"bad --x0 expression at offset {exc.offset}: {exc}")
+    x0_expr = parse_coeff(args.x0)
 
     kappa = args.kappa
     if model is not None and args.kappa == 0.0:
@@ -268,7 +258,7 @@ def cmd_simulate(args, argv) -> int:
         x0 = GridFunction(dec.grid, x0.values * np.exp(-dec.grid.nodes / (2.0 * model.D)))
     c0 = coefficients_of(x0, dec)
 
-    fs = fractional_space(dec, args.alpha, epsilon=1.0) if args.alpha else None
+    fs = fractional_space(dec, args.alpha, epsilon=1.0) if args.alpha is not None else None
     traj = trajectory(dec, c0, times, alpha_space=fs, kappa=kappa)
     doc = {
         "schema_version": 1,
@@ -310,7 +300,7 @@ def cmd_simulate(args, argv) -> int:
     _emit(_dump_json(doc), args.out)
     if args.csv:
         trajectory_to_csv(traj, args.csv)
-    _write_manifest(args.out, argv, _read_text(args.config), None,
+    _write_manifest(args.out, argv, config_text, None,
                     {"oracle_l2": 1e-3}, t0)
     return code
 
@@ -321,7 +311,8 @@ def cmd_observe(args, argv) -> int:
     t0 = time.monotonic()
     if args.synthetic:
         try:
-            doc_in = json.loads(_read_text(args.synthetic))
+            with open(args.synthetic) as fh:
+                doc_in = json.load(fh)
             values = np.asarray(doc_in["values"], dtype=np.float64)
             z0 = float(doc_in.get("z0", args.z0))
             alpha = float(doc_in.get("alpha", 0.5))
@@ -330,7 +321,7 @@ def cmd_observe(args, argv) -> int:
         report = observability_from_values(values, z0, alpha, tol=args.tol)
         config_text = None
     else:
-        prob, model, _ = load_config(args.config)
+        prob, model, config_text = load_config(args.config)
         if model is None:
             raise InputError("observe requires the dcr preset (or --synthetic)")
         if model.D != 1.0:
@@ -339,7 +330,6 @@ def cmd_observe(args, argv) -> int:
             raise InputError("--z0 must be 0 or 1")
         spec = solve_case_study(model, args.modes)
         report = observability_test(spec, args.z0, N=args.modes, tol=args.tol)
-        config_text = _read_text(args.config)
     _emit(_dump_json(report.to_dict()), args.out)
     _write_manifest(args.out, argv, config_text, None, {"trace_tol": args.tol}, t0)
     return EXIT_OK if report.verdict else EXIT_TOLERANCE
@@ -547,7 +537,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "observe" and args.config is None and args.synthetic is None:
             raise InputError("observe needs a config file or --synthetic")
         return args.fn(args, argv)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
+        # ValueError: a value the library rejects (an option, a config entry)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

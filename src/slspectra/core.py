@@ -268,22 +268,19 @@ def _lagrange_extrapolate(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
     return float(np.sum(w / d * ys) / np.sum(w / d))
 
 
-def _end_panel(f: GridFunction, end: str):
+def _extrapolate_ends(f: GridFunction, v: np.ndarray) -> Tuple[float, float]:
+    """v (values on f's grid) at a and b, from the Gauss nodes of each end panel."""
     g = f.grid.points
-    if end == "a":
-        return f.nodes[:g], slice(0, g)
-    return f.nodes[-g:], slice(f.grid.size - g, f.grid.size)
+    return (
+        _lagrange_extrapolate(f.nodes[:g], v[:g], f.interval.a),
+        _lagrange_extrapolate(f.nodes[-g:], v[-g:], f.interval.b),
+    )
 
 
 def boundary_values(f: GridFunction) -> Tuple[float, float]:
     if f.boundary is not None:
         return f.boundary.value_a, f.boundary.value_b
-    xa, sa = _end_panel(f, "a")
-    xb, sb = _end_panel(f, "b")
-    return (
-        _lagrange_extrapolate(xa, f.values[sa], f.interval.a),
-        _lagrange_extrapolate(xb, f.values[sb], f.interval.b),
-    )
+    return _extrapolate_ends(f, f.values)
 
 
 def boundary_derivatives(f: GridFunction) -> Tuple[float, float]:
@@ -291,12 +288,7 @@ def boundary_derivatives(f: GridFunction) -> Tuple[float, float]:
         return f.boundary.deriv_a, f.boundary.deriv_b
     if f.deriv is None:
         raise MissingDerivativeError("no derivative grid or boundary data")
-    xa, sa = _end_panel(f, "a")
-    xb, sb = _end_panel(f, "b")
-    return (
-        _lagrange_extrapolate(xa, f.deriv[sa], f.interval.a),
-        _lagrange_extrapolate(xb, f.deriv[sb], f.interval.b),
-    )
+    return _extrapolate_ends(f, f.deriv)
 
 
 # ---------------------------------------------------------------------------

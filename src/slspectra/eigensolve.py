@@ -14,6 +14,10 @@ with S = sqrt(p (L rho - q)):
 
 Both are evaluated in double angles (sin theta cos theta = sin(2 theta)/2,
 sin^2 theta = (1 - cos 2 theta)/2), which takes fewer array operations.
+Written as f = r sin(theta) / S, the plain form has S = 1.  One threshold,
+L* = max((q + 1)/rho) over a, the grid nodes and b, is computed per solve:
+L >= L* is shot in the scaled form (L rho - q >= 1 at every one of those
+points), L < L* in the plain form.
 
 The scaled form removes the fast oscillation from the right-hand side (for
 constant coefficients theta' is exactly omega), which is what makes high
@@ -40,12 +44,12 @@ calls.  The eigenvalue search never asks for dense output.
 The solver works in units-free variables (Pryce 1993, ch. 5): with
 ell = b - a, P = p(a) and R = rho(a) it solves for s = (z - a)/ell, p/P,
 rho/R, q ell^2/P and L R ell^2/P, with each Robin alpha divided by ell
-(_UnitMap).  Every
-constant above (the scaled-form margin, the scan window, the stopping rule,
-the step sizes) then acts on dimensionless quantities, so a dilated or
-reweighted problem costs what its unit problem costs.  Eigenvalues and
-eigenfunctions are mapped back once, on exit, as are the numbers in error
-messages; on [0, 1] with p(0) = rho(0) = 1 the map is exactly the identity.
+(_UnitMap).  Every constant above (the margin of 1 in L*, the scan window,
+the stopping rule, the step sizes, ODE_RTOL) then acts on dimensionless
+quantities, so a dilated or reweighted problem costs what its unit problem
+costs.  Eigenvalues and eigenfunctions are mapped back once, on exit, as
+are the numbers in error messages; on [0, 1] with p(0) = rho(0) = 1 the
+map is exactly the identity.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_PANELS,
-    DEFAULT_POINTS,
     BoundaryData,
     Grid,
     GridFunction,
@@ -85,6 +88,8 @@ SCHEMA_VERSION = 1
 
 # The root iteration stops once hi - lo <= ROOT_RTOL * max(1, |hi|).
 ROOT_RTOL = 1e-13
+# Relative tolerance of every Pruefer integration (absolute: 1e-12).
+ODE_RTOL = 1e-12
 # Fan points on each side of the root estimate in each search round.
 FAN = 4
 # |lambda| <= ZERO_EIGENVALUE_TOL reads as lambda = 0: ten stopping
@@ -409,6 +414,10 @@ class _PlainRHS:
         freq = math.sqrt(max(float(np.max(np.abs(lams))), 1.0))
         return max(min(0.1 / freq, abs(span) * 0.25), 1e-12)
 
+    def scale(self, lams, p, q, rho):
+        """S in f = r sin(theta) / S: here S = 1."""
+        return np.ones(np.broadcast(lams, rho).shape)
+
     def __call__(self, z, y, lams, ncomp):
         pz, qz, rz = self.coeffs(z)
         # cos^2/p + u sin^2 = (1/p + u)/2 + (1/p - u)/2 cos 2theta, u = L rho - q
@@ -434,6 +443,10 @@ class _ScaledRHS:
 
     def initial_step(self, lams, span):
         return max(min(0.01, abs(span) * 0.25), 1e-12)
+
+    def scale(self, lams, p, q, rho):
+        """S in f = w sin(theta) / S: here S = sqrt(p (L rho - q))."""
+        return np.sqrt(p * (lams * rho - q))
 
     def __call__(self, z, y, lams, ncomp):
         pz, qz, rz, dpz, dqz, drz = self.coeffs(z)
@@ -535,10 +548,9 @@ class _Shooter:
     Every lambda passed in or returned is lambda^ (see _UnitMap).
     """
 
-    def __init__(self, prob: SLProblem, grid: Grid, rtol: float):
+    def __init__(self, prob: SLProblem, grid: Grid):
         self.prob = prob
         self.grid = grid
-        self.rtol = rtol
         self.unit = unit = _UnitMap(prob)
         self.lam_scale = unit.lam_scale
         self.plain = _PlainRHS(unit)
@@ -553,25 +565,18 @@ class _Shooter:
                 self.scaled.coeffs(0.0), unit.coeffs(self.s_out[:-1]), self.scaled.coeffs(1.0)
             )
         )
+        # The scaled form is used where L rho - q >= 1 (a margin of 1) at s = 0,
+        # every node and s = 1.  As rho > 0, that is L >= (q + 1)/rho there.
+        self.lam_star = float(np.max((self.q_s + 1.0) / self.rho_s))
 
     def is_scaled(self, lams: np.ndarray) -> np.ndarray:
-        margin = 1.0
-        # a lower bound on min(lambda rho - q) over the nodes settles most lambdas
-        low = np.minimum(lams * self.rho_s.min(), lams * self.rho_s.max()) - self.q_s.max()
-        out = low >= margin
-        rest = np.flatnonzero(~out)
-        out[rest] = np.min(lams[rest, None] * self.rho_s - self.q_s, axis=1) >= margin
-        return out
+        return lams >= self.lam_star
 
-    def _s_at(self, lams, z_end: str):
-        end = 0 if z_end == "a" else -1
-        return np.sqrt(self.p_s[end] * (lams * self.rho_s[end] - self.q_s[end]))
-
-    def theta(self, lams: np.ndarray, use_scaled: bool, z_end: str) -> np.ndarray:
+    def theta(self, lams: np.ndarray, rhs, z_end: str) -> np.ndarray:
         """Boundary angle per lambda: in [0, pi) at z_end "a", in (0, pi] at "b"."""
         end = 0 if z_end == "a" else -1
         alpha, beta = self.unit.bc_a if z_end == "a" else self.unit.bc_b
-        s_fac = self._s_at(lams, z_end) if use_scaled else np.ones_like(lams)
+        s_fac = rhs.scale(lams, self.p_s[end], self.q_s[end], self.rho_s[end])
         th = np.arctan2(-alpha * s_fac, self.p_s[end] * beta)
         if z_end == "a":  # th is in [-pi, pi]
             return np.where(th < 0.0, th + math.pi, np.where(th >= math.pi, th - math.pi, th))
@@ -579,22 +584,21 @@ class _Shooter:
         return np.where(th <= 0.0, th + math.pi, th)  # -pi takes two turns
 
     def _shoot(self, lams: np.ndarray, **kwargs):
-        """(indices, use_scaled, theta at a, _integrate states) per Pruefer form in lams."""
+        """(indices, Pruefer RHS, theta at a, _integrate states) per Pruefer form in lams."""
         mask = self.is_scaled(lams)
-        for use_scaled in (False, True):
+        for use_scaled, rhs in ((False, self.plain), (True, self.scaled)):
             sel = np.flatnonzero(mask == use_scaled)
             if sel.size:
-                rhs = self.scaled if use_scaled else self.plain
-                th0 = self.theta(lams[sel], use_scaled, "a")
-                states = _integrate(rhs, lams[sel], 0.0, 1.0, th0, self.rtol, **kwargs)
-                yield sel, use_scaled, th0, states
+                th0 = self.theta(lams[sel], rhs, "a")
+                states = _integrate(rhs, lams[sel], 0.0, 1.0, th0, ODE_RTOL, **kwargs)
+                yield sel, rhs, th0, states
 
     def miss(self, lams: np.ndarray, kidx: np.ndarray) -> np.ndarray:
         """theta(b; L) - (theta(L at b) + k pi) for each (L, k) pair."""
         lams = np.asarray(lams, dtype=float)
         out = np.empty_like(lams)
-        for sel, use_scaled, _, states in self._shoot(lams):
-            out[sel] = states[0] - self.theta(lams[sel], use_scaled, "b") - math.pi * kidx[sel]
+        for sel, rhs, _, states in self._shoot(lams):
+            out[sel] = states[0] - self.theta(lams[sel], rhs, "b") - math.pi * kidx[sel]
         return out
 
     def recover(self, lams: np.ndarray) -> List[GridFunction]:
@@ -604,22 +608,17 @@ class _Shooter:
         p_a, p_b = self.p_s[0], self.p_s[-1]
         wrho = self.prob.rho(self.grid.nodes) * self.grid.weights
         funcs: List[Optional[GridFunction]] = [None] * lams.size
-        for sel, use_scaled, th0, states in self._shoot(lams, z_out=self.s_out, amplitude=True):
+        for sel, rhs, th0, states in self._shoot(lams, z_out=self.s_out, amplitude=True):
             for j, i in enumerate(sel):
                 lam = lams[i]
                 theta = states[:-1, 0, j]
                 amp = np.exp(states[:-1, 1, j])
                 th_b, amp_b = states[-1, 0, j], math.exp(states[-1, 1, j])
-                if use_scaled:
-                    s_nodes = np.sqrt(p_g * (lam * rho_g - q_g))
-                    values = amp * np.sin(theta) / s_nodes
-                    sa, sb = self._s_at(lam, "a"), self._s_at(lam, "b")
-                    fa = math.sin(th0[j]) / sa
-                    fb = amp_b * math.sin(th_b) / sb
-                else:
-                    values = amp * np.sin(theta)
-                    fa = math.sin(th0[j])
-                    fb = amp_b * math.sin(th_b)
+                # f = amp sin(theta) / S at s = 0, the nodes and s = 1
+                S = rhs.scale(lam, self.p_s, self.q_s, self.rho_s)
+                values = amp * np.sin(theta) / S[1:-1]
+                fa = math.sin(th0[j]) / S[0]
+                fb = amp_b * math.sin(th_b) / S[-1]
                 deriv = amp * np.cos(theta) / p_g
                 dfa = math.cos(th0[j]) / p_a
                 dfb = amp_b * math.cos(th_b) / p_b
@@ -717,8 +716,6 @@ def solve_spectrum(
     prob: SLProblem,
     N: int = 64,
     panels: Optional[int] = None,
-    points: int = DEFAULT_POINTS,
-    ode_rtol: float = 1e-12,
     max_bracket_expansions: int = 60,
 ) -> SpectralDecomposition:
     """Compute the first N eigenpairs of A = -(SL operator).
@@ -730,13 +727,15 @@ def solve_spectrum(
     phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).  Either edge of
     the bracketing scan is pushed out at most max_bracket_expansions times
     before EigenvalueBracketError is raised.  The default grid has
-    max(DEFAULT_PANELS, N) panels, about one per mode, so high modes stay
-    resolved.
+    max(DEFAULT_PANELS, N) panels of DEFAULT_POINTS Gauss points, about one
+    panel per mode, so high modes stay resolved.  Every phase integration
+    runs at relative tolerance ODE_RTOL, and every bracket is closed to
+    ROOT_RTOL.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    grid = make_grid(prob.interval, max(DEFAULT_PANELS, N) if panels is None else panels, points)
-    sh = _Shooter(prob, grid, ode_rtol)  # from here on, everything is in unit variables
+    grid = make_grid(prob.interval, max(DEFAULT_PANELS, N) if panels is None else panels)
+    sh = _Shooter(prob, grid)  # from here on, everything is in unit variables
     kvec = np.arange(N, dtype=float)
 
     # Weyl-style guesses: phase gain ~ sqrt(L) J with J = integral sqrt(rho/p)

@@ -71,11 +71,6 @@ def assemble(prob: SLProblem, M: int) -> FDOperator:
     q_n = prob.q(nodes)
     rho_n = prob.rho(nodes)
 
-    alpha_a, beta_a = prob.bc_a
-    alpha_b, beta_b = prob.bc_b
-    dir_a = alpha_a == 0.0
-    dir_b = alpha_b == 0.0
-
     n_full = M + 1
     sub = np.zeros(n_full)
     diag = np.zeros(n_full)
@@ -90,27 +85,20 @@ def assemble(prob: SLProblem, M: int) -> FDOperator:
     diag[i] = -(mid[i - 1] + mid[i]) / (rho_n[i] * h * h) - q_n[i] / rho_n[i]
     wts[i] = rho_n[i] * h
 
-    # Robin rows: half cell, boundary flux p f' = -(beta/alpha) p f
-    if not dir_a:
-        c = 2.0 / (rho_n[0] * h * h)
-        sup[0] = c * mid[0]
-        diag[0] = (
-            -c * mid[0]
-            + (2.0 / (rho_n[0] * h)) * prob.p(a) * (beta_a / alpha_a)
-            - q_n[0] / rho_n[0]
-        )
-        wts[0] = rho_n[0] * h / 2.0
-    if not dir_b:
-        c = 2.0 / (rho_n[M] * h * h)
-        sub[M] = c * mid[M - 1]
-        diag[M] = (
-            -c * mid[M - 1]
-            - (2.0 / (rho_n[M] * h)) * prob.p(b) * (beta_b / alpha_b)
-            - q_n[M] / rho_n[M]
-        )
-        wts[M] = rho_n[M] * h / 2.0
+    # Robin rows: half cell, boundary flux p f' = -(beta/alpha) p f, which
+    # the row takes as -(p f')(a) at a and +(p f')(b) at b
+    for i, j, off, (alpha, beta), z, sign in (
+        (0, 0, sup, prob.bc_a, a, 1.0), (M, M - 1, sub, prob.bc_b, b, -1.0)
+    ):
+        if alpha != 0.0:
+            c = 2.0 / (rho_n[i] * h * h)
+            off[i] = c * mid[j]
+            flux = sign * (2.0 / (rho_n[i] * h)) * prob.p(z) * (beta / alpha)
+            diag[i] = -c * mid[j] + flux - q_n[i] / rho_n[i]
+            wts[i] = rho_n[i] * h / 2.0
 
-    keep = slice(0 if not dir_a else 1, n_full if not dir_b else M)
+    # a Dirichlet end (alpha = 0) drops its node
+    keep = slice(int(prob.bc_a[0] == 0.0), M + int(prob.bc_b[0] != 0.0))
     return FDOperator(
         prob, M, h, nodes[keep], sub[keep], diag[keep], sup[keep], wts[keep]
     )
@@ -135,12 +123,9 @@ def fd_eigs(op: FDOperator, k: int) -> Tuple[np.ndarray, np.ndarray]:
     funcs = vecs / np.sqrt(op.cell_weights)[:, None]
     nr = np.sqrt(np.einsum("i,ij,ij->j", op.cell_weights, funcs, funcs))
     funcs = funcs / nr
-    for j in range(k):
-        v = funcs[:, j]
-        lead = v[0] if abs(v[0]) > 1e-10 else v[1] - v[0]
-        if lead < 0:
-            funcs[:, j] = -v
-    return vals, funcs.T
+    # the value at the first node, or the first difference where that is ~0
+    lead = np.where(np.abs(funcs[0]) > 1e-10, funcs[0], funcs[1] - funcs[0])
+    return vals, (funcs * np.where(lead < 0.0, -1.0, 1.0)).T
 
 
 def fd_eigs_extrapolated(prob: SLProblem, k: int, M: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from slspectra.core import (
 )
 from slspectra.casestudy import (
     DCRModel,
+    characteristic,
     closed_form_eigenfunction,
     dcr_sl_problem,
     h1_full_inner_product,
@@ -77,6 +78,15 @@ def test_characteristic_roots(cs_spec50):
     m = np.arange(1, 50)
     assert np.all(cs_spec50.s[1:] > m * math.pi)
     assert np.all(cs_spec50.s[1:] < m * math.pi + math.pi / 2.0)
+
+
+def test_root_brackets_change_sign():
+    # solve_case_study brackets root m + 1 by (m pi, m pi + pi/2), where
+    # g = -4 m pi (-1)^m and (-1)^m (4 s^2 - 1); the first root by (1/2, pi/2)
+    m = np.arange(1, 10_001, dtype=float)
+    lo = np.concatenate([[0.5], m * math.pi])
+    hi = np.concatenate([[math.pi / 2.0], m * math.pi + math.pi / 2.0])
+    assert np.all(characteristic(lo) * characteristic(hi) < 0.0)
 
 
 def test_guards(model):

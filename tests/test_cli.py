@@ -1,7 +1,10 @@
 """Command-line interface: configs, subcommands, exit codes, determinism."""
 
+import builtins
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -162,6 +165,52 @@ def test_simulate_bad_times_exits_1(dirichlet_config, capsys):
     assert main(["simulate", dirichlet_config, "--x0", "1", "--times", "0.2,0.1"]) == 1
     assert main(["simulate", dirichlet_config, "--x0", "1", "--times", "nope"]) == 1
     assert main(["simulate", dirichlet_config, "--x0", "sin(", "--times", "0.1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eigs", "--modes", "0"],
+     ["simulate", "--x0", "z", "--times", "0.1", "--alpha", "0"],
+     ["simulate", "--x0", "z", "--times", "0.1", "--alpha", "5"],
+     ["simulate", "--x0", "z", "--times", "0.1", "--modes", "0"],
+     ["simulate", "--x0", "z", "--times", "0.1", "--modes", "4", "--verify",
+      "--oracle-cells", "3"],
+     ["simulate", "--x0", "z", "--times", "0.1", "--modes", "4", "--verify",
+      "--oracle-dt", "0"]],
+    ids=["eigs-modes-0", "alpha-0", "alpha-5", "modes-0", "oracle-cells-3", "oracle-dt-0"],
+)
+def test_bad_option_values_exit_1_with_a_message(argv, dirichlet_config, capsys):
+    # a value the library rejects is an input error, reported without a traceback
+    assert main([argv[0], dirichlet_config, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eigs", "--modes", "2"],
+     ["simulate", "--x0", "1", "--times", "0.1", "--modes", "4"],
+     ["observe", "--modes", "5"]],
+    ids=["eigs", "simulate", "observe"],
+)
+def test_config_read_once(argv, dcr_config, tmp_path, monkeypatch):
+    # the manifest hashes the text that was solved, not a second read of the file
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == dcr_config:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = str(tmp_path / "out.json")
+    assert main([argv[0], dcr_config, *argv[1:], "--out", out]) == 0
+    assert len(opened) == 1, opened
+    with real_open(out + ".manifest.json") as fh:
+        sha = json.load(fh)["config_sha256"]
+    with real_open(dcr_config, "rb") as fh:
+        assert sha == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_observe_verdicts(dcr_config, tmp_path):

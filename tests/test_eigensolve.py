@@ -184,58 +184,44 @@ def work_counts(monkeypatch):
     return _count_work(monkeypatch)
 
 
-@pytest.fixture(scope="module")
-def anchor_counts(model):
-    """Work counts of one solve of each anchor: p=1+z^2 Robin (N=20), weighted DCR (N=10)."""
-    anchors = {
-        "p1z2": (SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
-                 20),
-        "dcr": (dcr_sl_problem(model), 10),
-    }
-    out = {}
-    with pytest.MonkeyPatch.context() as mp:
-        counts = _count_work(mp)
-        for name, (prob, N) in anchors.items():
-            counts.update(integrate=0, rhs=0)
-            solve_spectrum(prob, N=N)
-            out[name] = dict(counts)
-    return out
+def test_anchor_work(work_counts, model):
+    # Integrations and RHS calls of one solve of each anchor: one batch per
+    # round of the multi-point search, on DOP853 steps.  Dormand-Prince 5(4)
+    # steps made 25.0k and 17.5k RHS calls in the same 9 and 13 integrations.
+    anchors = (
+        ("p1z2", SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
+         20, 9, 16_000),
+        ("dcr", dcr_sl_problem(model), 10, 13, 11_000),
+    )
+    for name, prob, N, max_integrate, max_rhs in anchors:
+        work_counts.update(integrate=0, rhs=0)
+        solve_spectrum(prob, N=N)
+        assert work_counts["integrate"] <= max_integrate, (name, work_counts)
+        assert work_counts["rhs"] <= max_rhs, (name, work_counts)
 
 
-def test_solver_work_counts(anchor_counts):
-    # An Illinois search that halved the kept endpoint's miss on every
-    # iteration (with forced bisections) needed 49 and 93 integrations here;
-    # see test_search_rounds for the multi-point search's own bounds.
-    for name, max_integrate, max_rhs in (("p1z2", 25, 60_000), ("dcr", 35, 50_000)):
-        counts = anchor_counts[name]
-        assert counts["integrate"] <= max_integrate, (name, counts)
-        assert counts["rhs"] <= max_rhs, (name, counts)
-
-
-def test_search_rounds(anchor_counts):
-    # One batch per round of the multi-point search; a one-point-per-index
-    # Illinois search made 21 and 30 integrations on these two problems.
-    for name, max_integrate in (("p1z2", 18), ("dcr", 20)):
-        assert anchor_counts[name]["integrate"] <= max_integrate, (name, anchor_counts[name])
-
-
-def test_interpolated_search_work(anchor_counts):
-    # The inverse cubic estimate took 9 and 13 integrations (25.0k and 17.5k
-    # RHS calls with Dormand-Prince 5(4) steps) here; the secant estimate
-    # with its fan took 15 and 17.
-    for name, max_integrate, max_rhs in (("p1z2", 11, 29_000), ("dcr", 15, 20_000)):
-        counts = anchor_counts[name]
-        assert counts["integrate"] <= max_integrate, (name, counts)
-        assert counts["rhs"] <= max_rhs, (name, counts)
-
-
-def test_dop853_work(anchor_counts):
-    # Dormand-Prince 5(4) steps made 25.0k and 17.5k RHS calls in the same 9
-    # and 13 integrations
-    for name, max_integrate, max_rhs in (("p1z2", 9, 16_000), ("dcr", 13, 11_000)):
-        counts = anchor_counts[name]
-        assert counts["integrate"] <= max_integrate, (name, counts)
-        assert counts["rhs"] <= max_rhs, (name, counts)
+@pytest.mark.parametrize(
+    "prob",
+    [SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
+     SLProblem.from_strings(0.0, 1.0, "1", "-100", "1", (0.0, 1.0), (0.0, 1.0)),
+     SLProblem.from_strings(0.0, 1.0, "1", "1e4*z^4", "1", (0.0, 1.0), (0.0, 1.0)),
+     SLProblem.from_strings(0.0, 50.0, "1.5 + sin(2*z)", "3*z - 40", "exp(-z/20)",
+                            (1.0, 0.3), (0.0, 1.0))],
+    ids=["p1z2", "negative-q", "stiff-q", "dilated"],
+)
+def test_form_threshold_is_the_node_rule(prob):
+    # lambda >= lambda* shoots the scaled form exactly where lambda rho - q >= 1
+    # at s = 0, every node and s = 1 (all in unit variables).  Within 4 ulp of
+    # lambda* rounding may decide either way; either form is valid there.
+    sh = eigensolve._Shooter(prob, make_grid(prob.interval))
+    star = sh.lam_star
+    rng = np.random.default_rng(11)
+    n = 2500
+    lams = star + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, 1.0, n) * max(1.0, abs(star))
+    lams = lams[np.abs(lams - star) > 4.0 * np.spacing(star)]
+    rule = np.min(lams[:, None] * sh.rho_s - sh.q_s, axis=1) >= 1.0
+    assert np.array_equal(sh.is_scaled(lams), rule)
+    assert 0 < np.count_nonzero(rule) < lams.size
 
 
 def test_default_grid_grows_with_N():
@@ -356,7 +342,7 @@ def test_bracket_errors_in_caller_units(unit_q, q, bc_a, what):
 
 def test_round_cap_error_in_caller_units(monkeypatch):
     prob = SLProblem.from_strings(0.0, 50.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
-    sh = eigensolve._Shooter(prob, make_grid(prob.interval), 1e-12)
+    sh = eigensolve._Shooter(prob, make_grid(prob.interval))
     monkeypatch.setattr(sh, "miss", lambda lams, kidx: np.full(len(lams), np.nan))
     with pytest.raises(eigensolve.EigenvalueBracketError) as info:
         eigensolve._search(sh, [100.0], [200.0], [-1.0], [1.0], np.array([2.0]))
