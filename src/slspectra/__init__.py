@@ -52,7 +52,6 @@ from .fracspace import (
     norm_alpha,
     rescaled_basis,
     scaling_identity_check,
-    shift_mu,
 )
 from .semigroup import (
     SemigroupTrajectory,

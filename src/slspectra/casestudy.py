@@ -137,19 +137,14 @@ def transform_state(
     return GridFunction(x.grid, values, deriv=deriv, deriv2=deriv2, boundary=boundary)
 
 
-def transformed_problem(model: DCRModel, include_kappa: bool = False) -> SLProblem:
-    """Constant-coefficient Robin problem for xi.
-
-    With include_kappa=False this is the unshifted operator
-    A = D d^2/dz^2 (spectrum -s_n^2 for D=1); with True it is the full
-    generator A - kappa I written as a single SL operator.
-    """
+def transformed_problem(model: DCRModel) -> SLProblem:
+    """Constant-coefficient Robin problem for xi: the unshifted operator
+    A = D d^2/dz^2 (spectrum -s_n^2 for D=1); the generator is A - kappa I."""
     d = model.D
-    q_src = f"{model.kappa!r}" if include_kappa else "0"
     return SLProblem(
         interval=Interval(0.0, 1.0),
         p=parse_coeff(f"{d!r}"),
-        q=parse_coeff(q_src),
+        q=parse_coeff("0"),
         rho=parse_coeff("1"),
         bc_a=(d, -0.5),
         bc_b=(d, 0.5),
@@ -270,19 +265,17 @@ def h1_full_inner_product(f: GridFunction, g: GridFunction) -> float:
     return float(np.dot(f.values * g.values, w) + np.dot(f.deriv * g.deriv, w))
 
 
-def quadratic_form_identity(
-    prob: SLProblem, f: GridFunction, bc_tol: float = 1e-8
-) -> Tuple[float, float]:
+def quadratic_form_identity(prob: SLProblem, f: GridFunction) -> Tuple[float, float]:
     """(-<Af, f>_rho, <f, f>_{1/2}); the two agree for f in the domain.
 
     Integration by parts with these dissipative Robin conditions gives
     <Af, f> = -(f(1)^2/2 + f(0)^2/2 + int (f')^2), so the positive
     quadratic form equals minus the operator pairing.  The boundary
-    conditions are prechecked.
+    conditions are prechecked, to 1e-8 relative to max |f|.
     """
     ra, rb = bc_residual(prob, f)
     scale = max(1.0, float(np.max(np.abs(f.values))))
-    if max(abs(ra), abs(rb)) > bc_tol * scale:
+    if max(abs(ra), abs(rb)) > 1e-8 * scale:
         raise ValueError("f does not satisfy the Robin boundary conditions")
     af = apply_operator(prob, f)
     lhs = -inner_product_rho(af, f, prob.rho)
@@ -342,12 +335,14 @@ def norm_equivalence(
     )
 
 
-def trig_corpus(grid: Grid, size: int, seed: int, degree: int = 10) -> List[GridFunction]:
+def trig_corpus(grid: Grid, size: int, seed: int) -> List[GridFunction]:
     """Seeded trigonometric polynomials a0 + b0 z + sum_k a_k cos(k pi z) + b_k sin(k pi z).
 
-    Coefficients are uniform in [-1, 1]; derivatives and boundary data are
-    analytic, so every member is a legitimate H^1 test function.
+    k runs to 10.  Coefficients are uniform in [-1, 1]; derivatives and
+    boundary data are analytic, so every member is a legitimate H^1 test
+    function.
     """
+    degree = 10
     rng = np.random.default_rng(seed)
     z = grid.nodes
     ks = np.arange(1, degree + 1) * math.pi

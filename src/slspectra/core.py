@@ -90,17 +90,16 @@ class Grid:
         )
 
 
-def make_grid(
-    interval: Interval, panels: int = DEFAULT_PANELS, points: int = DEFAULT_POINTS
-) -> Grid:
-    if panels < 1 or points < 2:
-        raise ValueError("need panels >= 1 and points >= 2")
-    x, w = np.polynomial.legendre.leggauss(points)
+def make_grid(interval: Interval, panels: int = DEFAULT_PANELS) -> Grid:
+    """panels Gauss-Legendre panels of DEFAULT_POINTS nodes each."""
+    if panels < 1:
+        raise ValueError("need panels >= 1")
+    x, w = np.polynomial.legendre.leggauss(DEFAULT_POINTS)
     h = interval.length / panels
     left = interval.a + h * np.arange(panels)
     nodes = (left[:, None] + (x[None, :] + 1.0) * (h / 2.0)).ravel()
     weights = np.tile(w * h / 2.0, panels)
-    return Grid(interval, nodes, weights, panels, points)
+    return Grid(interval, nodes, weights, panels, DEFAULT_POINTS)
 
 
 @dataclass(frozen=True)
@@ -197,16 +196,18 @@ class SLProblem:
     rho: CoeffExpr
     bc_a: Tuple[float, float]
     bc_b: Tuple[float, float]
-    dp: CoeffExpr = None  # type: ignore[assignment]
-    # q' and rho' are derived, never copied: replace() must not keep stale ones
+    # p', q' and rho' are derived, never copied: replace() must not keep stale
+    # ones.  dp stays an init argument only for callers that pass
+    # replace(..., dp=None) (perfbench/workloads.py); any value passed in is
+    # replaced by p.derivative().
+    dp: CoeffExpr = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
     dq: CoeffExpr = field(init=False, repr=False, compare=False)
     drho: CoeffExpr = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bc_a == (0.0, 0.0) or self.bc_b == (0.0, 0.0):
             raise ValueError("boundary condition pair must not be (0, 0)")
-        if self.dp is None:
-            object.__setattr__(self, "dp", self.p.derivative())
+        object.__setattr__(self, "dp", self.p.derivative())
         object.__setattr__(self, "dq", self.q.derivative())
         object.__setattr__(self, "drho", self.rho.derivative())
         z = np.linspace(self.interval.a, self.interval.b, 65)
@@ -221,7 +222,7 @@ class SLProblem:
                 raise ValueError(f"{name} must be {what} on the interval: {name}({zi!r}) = {vi!r}")
 
     @staticmethod
-    def from_strings(a, b, p, q, rho, bc_a, bc_b, dp=None) -> "SLProblem":
+    def from_strings(a, b, p, q, rho, bc_a, bc_b) -> "SLProblem":
         return SLProblem(
             Interval(float(a), float(b)),
             parse_coeff(p),
@@ -229,7 +230,6 @@ class SLProblem:
             parse_coeff(rho),
             (float(bc_a[0]), float(bc_a[1])),
             (float(bc_b[0]), float(bc_b[1])),
-            None if dp is None else parse_coeff(dp),
         )
 
 

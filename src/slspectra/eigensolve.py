@@ -92,6 +92,8 @@ ROOT_RTOL = 1e-13
 ODE_RTOL = 1e-12
 # Fan points on each side of the root estimate in each search round.
 FAN = 4
+# Either edge of the bracketing scan is pushed out at most this many times.
+MAX_BRACKET_EXPANSIONS = 60
 # |lambda| <= ZERO_EIGENVALUE_TOL reads as lambda = 0: ten stopping
 # tolerances, where max(1, |lambda|) = 1.
 ZERO_EIGENVALUE_TOL = 10.0 * ROOT_RTOL
@@ -716,7 +718,6 @@ def solve_spectrum(
     prob: SLProblem,
     N: int = 64,
     panels: Optional[int] = None,
-    max_bracket_expansions: int = 60,
 ) -> SpectralDecomposition:
     """Compute the first N eigenpairs of A = -(SL operator).
 
@@ -725,7 +726,7 @@ def solve_spectrum(
     indices at once (see _search), then returned as lambda_n = -L_n.
     Eigenfunctions come from the amplitude equation, rho-normalized, with
     phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).  Either edge of
-    the bracketing scan is pushed out at most max_bracket_expansions times
+    the bracketing scan is pushed out at most MAX_BRACKET_EXPANSIONS times
     before EigenvalueBracketError is raised.  The default grid has
     max(DEFAULT_PANELS, N) panels of DEFAULT_POINTS Gauss points, about one
     panel per mode, so high modes stay resolved.  Every phase integration
@@ -748,7 +749,7 @@ def solve_spectrum(
     lo0 = top = float(np.min(q_g / rho_g)) - 1.0
     step = max(10.0, abs(lo0))
     f0 = sh.miss(np.array([lo0]), np.zeros(1))[0]
-    for _ in range(max_bracket_expansions):
+    for _ in range(MAX_BRACKET_EXPANSIONS):
         if f0 < 0.0:
             break
         lo0 -= step
@@ -762,7 +763,7 @@ def solve_spectrum(
     ladder = np.unique(np.concatenate([guesses, [guesses[-1] * 1.3 + 10.0]]))
     phases = np.concatenate([[f0], sh.miss(ladder, np.zeros(ladder.size))])  # miss for k=0
     ladder = np.concatenate([[lo0], ladder])
-    for _ in range(max_bracket_expansions):
+    for _ in range(MAX_BRACKET_EXPANSIONS):
         if phases[-1] - math.pi * kvec[-1] > 0.0:
             break
         ladder = np.append(ladder, max(ladder[-1] * 2.0, 0.0) + 10.0)

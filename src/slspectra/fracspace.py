@@ -27,7 +27,6 @@ __all__ = [
     "FractionalSpace",
     "RescaledBasis",
     "fractional_space",
-    "shift_mu",
     "coercivity_gap",
     "fractional_apply",
     "in_domain_alpha",
@@ -45,16 +44,18 @@ MAX_ALPHA = 4.0
 class FractionalSpace:
     alpha: float
     mu: float
-    epsilon: float
     dec: SpectralDecomposition
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= MAX_ALPHA:
             raise ValueError(f"alpha must lie in (0, {MAX_ALPHA}]")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         if not self.mu > self.dec.gamma:
             raise ValueError("mu must exceed the largest eigenvalue")
+
+    @property
+    def epsilon(self) -> float:
+        """mu - gamma, the coercivity margin of mu I - A."""
+        return self.mu - self.dec.gamma
 
     @property
     def gaps(self) -> np.ndarray:
@@ -65,29 +66,15 @@ class FractionalSpace:
         return self.gaps ** power
 
 
-def shift_mu(dec: SpectralDecomposition, epsilon: float) -> float:
-    """mu = gamma + epsilon, the shift that makes mu I - A coercive."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    return dec.gamma + epsilon
-
-
 def fractional_space(
-    dec: SpectralDecomposition,
-    alpha: float,
-    epsilon: float = 1.0,
-    mu: float | None = None,
+    dec: SpectralDecomposition, alpha: float, mu: float | None = None
 ) -> FractionalSpace:
-    """Construct X_alpha; pass mu explicitly to override gamma + epsilon.
+    """Construct X_alpha with shift mu, by default gamma + 1.
 
-    The explicit-mu form covers the case-study choice mu = 0, legitimate
+    An explicit mu covers the case-study choice mu = 0, legitimate
     whenever 0 exceeds the whole spectrum.
     """
-    if mu is None:
-        mu = shift_mu(dec, epsilon)
-    else:
-        epsilon = mu - dec.gamma
-    return FractionalSpace(alpha, mu, epsilon, dec)
+    return FractionalSpace(alpha, dec.gamma + 1.0 if mu is None else mu, dec)
 
 
 def _check_same(fs: FractionalSpace, c: ModalCoefficients):

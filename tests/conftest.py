@@ -1,9 +1,12 @@
 """Shared fixtures: the expensive spectral solves are computed once per session."""
 
+from dataclasses import replace
+
 import pytest
 
 from slspectra.core import Interval, SLProblem, make_grid
 from slspectra.eigensolve import solve_spectrum
+from slspectra.expressions import parse_coeff
 from slspectra.casestudy import (
     DCRModel,
     dcr_sl_problem,
@@ -50,7 +53,8 @@ def transformed_dec50(model):
 @pytest.fixture(scope="session")
 def shifted_dec(model):
     """The case study's full generator A - kappa I, five modes."""
-    return solve_spectrum(transformed_problem(model, include_kappa=True), N=5)
+    prob = replace(transformed_problem(model), q=parse_coeff(repr(model.kappa)))
+    return solve_spectrum(prob, N=5)
 
 
 @pytest.fixture(scope="session")

@@ -141,6 +141,17 @@ def test_simulate_verify_against_oracle(dcr_config, tmp_path):
     assert max(doc["oracle"]["l2_discrepancy"]) <= 1e-3
 
 
+def test_simulate_kappa_flag_overrides_the_preset(dcr_config, tmp_path):
+    # an explicit --kappa 0 is a value, not "absent"; absent takes the preset's
+    out = str(tmp_path / "sim.json")
+    base = ["simulate", dcr_config, "--x0", "1", "--times", "0.1", "--modes", "8",
+            "--out", out]
+    assert main(base + ["--kappa", "0"]) == 0
+    assert json.loads(open(out).read())["kappa"] == 0.0
+    assert main(base) == 0
+    assert json.loads(open(out).read())["kappa"] == 1.0
+
+
 def test_simulate_verify_steps_on_between_times(dcr_config, tmp_path, monkeypatch):
     # the oracle continues from the previous time instead of restarting at 0
     spans = []
@@ -221,6 +232,19 @@ def test_observe_verdicts(dcr_config, tmp_path):
     assert doc["min"] > 0.0
     assert main(["observe", dcr_config, "--z0", "1", "--modes", "20"]) == 0
     assert main(["observe", dcr_config, "--z0", "0.5"]) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [({"preset": "dcr", "D": 2.0}, []), ({"preset": "dcr"}, ["--z0", "0.5"])],
+    ids=["D-2", "z0-interior"],
+)
+def test_observe_outside_the_closed_form_exits_1(doc, flags, tmp_path, capsys):
+    cfg = tmp_path / "dcr.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["observe", str(cfg), *flags, "--modes", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_observe_requires_dcr(dirichlet_config, capsys):

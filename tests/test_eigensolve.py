@@ -14,6 +14,7 @@ import slspectra
 import slspectra.eigensolve as eigensolve
 from slspectra.core import (
     SLProblem,
+    apply_operator,
     bc_residual,
     grid_function,
     make_grid,
@@ -362,14 +363,15 @@ def _window(msg):
      ("1e4*z^8", "4*(z/50)^8", (0.0, 1.0), "eigenvalue 3 not bracketed")],
     ids=["scan", "ladder"],
 )
-def test_bracket_errors_in_caller_units(unit_q, q, bc_a, what):
+def test_bracket_errors_in_caller_units(unit_q, q, bc_a, what, monkeypatch):
     # [0, 50] maps onto [0, 1] with lambda = lambda^ / 2500; the scan starts at
     # lambda^ = min q^ - 1 and the ladder ends at the guesses' top
+    monkeypatch.setattr(eigensolve, "MAX_BRACKET_EXPANSIONS", 0)
     msgs = []
     for b, q_src, alpha in ((1.0, unit_q, bc_a[0] / 50.0), (50.0, q, bc_a[0])):
         prob = SLProblem.from_strings(0.0, b, "1", q_src, "1", (alpha, bc_a[1]), (0.0, 1.0))
         with pytest.raises(eigensolve.EigenvalueBracketError) as info:
-            solve_spectrum(prob, N=3, max_bracket_expansions=0)
+            solve_spectrum(prob, N=3)
         msgs.append(str(info.value))
     for msg in msgs:
         assert msg.startswith(what + ": L in [") and msg.endswith(", plain Pruefer form at hi"), msg
@@ -409,11 +411,12 @@ def test_step_underflow_in_caller_units(monkeypatch):
 
 
 @pytest.mark.parametrize("q, N", [("-100", 2), ("-1000", 3)])
-def test_ladder_expands_upwards_below_zero(q, N):
+def test_ladder_expands_upwards_below_zero(q, N, monkeypatch):
     # a ladder top below 0 used to be pushed further down (2 top + 10), so the
     # solve ran to the expansion cap at ever larger |lambda| and never returned
+    monkeypatch.setattr(eigensolve, "MAX_BRACKET_EXPANSIONS", 5)
     prob = SLProblem.from_strings(0.0, 1.0, "1", q, "1", (0.0, 1.0), (0.0, 1.0))
-    dec = solve_spectrum(prob, N=N, max_bracket_expansions=5)
+    dec = solve_spectrum(prob, N=N)
     exact = -((np.arange(1.0, N + 1.0) * math.pi) ** 2) - float(q)
     assert np.max(np.abs(dec.eigenvalues - exact) / np.abs(exact)) < 1e-10
 
@@ -503,9 +506,24 @@ def test_coefficient_derivatives_cached_on_problem(monkeypatch):
     solve_spectrum(prob, N=1)
     assert calls == []
     # a replaced problem derives its own, never the stale ones
-    new = replace(prob, q=parse_coeff("z^3"), rho=parse_coeff("exp(z)"), dp=None)
+    new = replace(prob, q=parse_coeff("z^3"), rho=parse_coeff("exp(z)"))
     z = np.linspace(0.0, 1.0, 5)
     assert np.allclose(new.dq(z), 3.0 * z ** 2) and np.allclose(new.drho(z), np.exp(z))
+
+
+def test_replaced_p_derives_its_own_derivative():
+    # replace() used to copy the old p' = 0: lambda_1 read -1.2487, not -1.3560
+    from dataclasses import replace
+
+    from slspectra.expressions import parse_coeff
+
+    unit = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, -0.5), (1.0, 0.5))
+    replaced = replace(unit, p=parse_coeff("1+z^2"))
+    fresh = SLProblem.from_strings(0.0, 1.0, "1+z^2", "0", "1", (1.0, -0.5), (1.0, 0.5))
+    decs = [solve_spectrum(prob, N=3) for prob in (replaced, fresh)]
+    assert np.array_equal(decs[0].eigenvalues, decs[1].eigenvalues)
+    f = decs[1].eigenfunctions[0]
+    assert np.array_equal(apply_operator(replaced, f).values, apply_operator(fresh, f).values)
 
 
 def test_folded_negative_constant_in_q():

@@ -5,6 +5,7 @@ import pytest
 
 from slspectra.eigensolve import ModalCoefficients, coefficients_of
 from slspectra.fracspace import (
+    FractionalSpace,
     apply_A_alpha,
     coercivity_gap,
     fractional_apply,
@@ -14,7 +15,6 @@ from slspectra.fracspace import (
     norm_alpha,
     rescaled_basis,
     scaling_identity_check,
-    shift_mu,
 )
 
 
@@ -24,23 +24,31 @@ def test_construction_validation(dirichlet_dec):
     with pytest.raises(ValueError):
         fractional_space(dirichlet_dec, 4.5)
     with pytest.raises(ValueError):
-        fractional_space(dirichlet_dec, 0.5, epsilon=-1.0)
+        fractional_space(dirichlet_dec, 0.5, mu=dirichlet_dec.gamma - 1.0)
     with pytest.raises(ValueError):
         fractional_space(dirichlet_dec, 0.5, mu=dirichlet_dec.gamma)  # not above spectrum
-    with pytest.raises(ValueError):
-        shift_mu(dirichlet_dec, 0.0)
 
 
 def test_shift_and_explicit_mu(dirichlet_dec):
-    fs = fractional_space(dirichlet_dec, 0.5, epsilon=2.0)
-    assert fs.mu == dirichlet_dec.gamma + 2.0
+    fs = fractional_space(dirichlet_dec, 0.5)
+    assert fs.mu == dirichlet_dec.gamma + 1.0
     fs0 = fractional_space(dirichlet_dec, 0.5, mu=0.0)
     assert fs0.mu == 0.0
     assert fs0.epsilon == -dirichlet_dec.gamma
 
 
+def test_shift_is_stored_once(dirichlet_dec):
+    # mu is the only stored shift; epsilon = mu - gamma is derived from it
+    with pytest.raises(TypeError):
+        FractionalSpace(0.5, dirichlet_dec.gamma + 1.0, 5.0, dirichlet_dec)
+    fs = FractionalSpace(0.5, dirichlet_dec.gamma + 2.0, dirichlet_dec)
+    assert fs.epsilon == fs.mu - dirichlet_dec.gamma
+    with pytest.raises(AttributeError):
+        fs.epsilon = 5.0
+
+
 def test_coercivity_gap(dirichlet_dec):
-    fs = fractional_space(dirichlet_dec, 1.0, epsilon=1.0)
+    fs = fractional_space(dirichlet_dec, 1.0)
     e1 = np.zeros(20)
     e1[0] = 1.0
     c = ModalCoefficients(e1, dirichlet_dec)
@@ -58,7 +66,7 @@ def test_fractional_apply_round_trip(dirichlet_dec):
     rng = np.random.default_rng(4)
     c = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
     for alpha in (0.25, 0.5, 1.0, 1.5):
-        fs = fractional_space(dirichlet_dec, alpha, epsilon=1.0)
+        fs = fractional_space(dirichlet_dec, alpha)
         back = fractional_apply(fs, fractional_apply(fs, c, +1), -1)
         assert np.max(np.abs(back.coefficients - c.coefficients)) < 1e-12
     with pytest.raises(ValueError):
@@ -68,15 +76,15 @@ def test_fractional_apply_round_trip(dirichlet_dec):
 def test_half_power_squares_to_full(dirichlet_dec):
     rng = np.random.default_rng(6)
     c = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
-    half = fractional_space(dirichlet_dec, 0.5, epsilon=1.0)
-    full = fractional_space(dirichlet_dec, 1.0, epsilon=1.0)
+    half = fractional_space(dirichlet_dec, 0.5)
+    full = fractional_space(dirichlet_dec, 1.0)
     twice = fractional_apply(half, fractional_apply(half, c, +1), +1)
     once = fractional_apply(full, c, +1)
     assert np.allclose(twice.coefficients, once.coefficients, rtol=1e-13, atol=0)
 
 
 def test_alpha_inner_product_and_norm(dirichlet_dec):
-    fs = fractional_space(dirichlet_dec, 0.5, epsilon=1.0)
+    fs = fractional_space(dirichlet_dec, 0.5)
     rng = np.random.default_rng(8)
     f = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
     g = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
@@ -91,7 +99,7 @@ def test_rescaled_basis_is_orthonormal_in_alpha(dirichlet_dec, transformed_dec50
     # the alpha = 1.5 weights reach (mu - lambda_20)^3 ~ 6e10, which
     # amplifies projection round-off; 1e-8 leaves two orders of margin on
     # Dirichlet, and the case study (mu = 0) is held to 1e-6
-    cases = [(dirichlet_dec, {"epsilon": 1.0}, 1e-8),
+    cases = [(dirichlet_dec, {}, 1e-8),
              (transformed_dec50.truncate(20), {"mu": 0.0}, 1e-6)]
     for dec, shift, bound in cases:
         for alpha in (0.25, 0.5, 1.0, 1.5):
@@ -107,7 +115,7 @@ def test_rescaled_basis_is_orthonormal_in_alpha(dirichlet_dec, transformed_dec50
 def test_scaling_identity(dirichlet_dec):
     rng = np.random.default_rng(10)
     for alpha in (0.25, 0.5, 1.0, 1.5):
-        fs = fractional_space(dirichlet_dec, alpha, epsilon=1.0)
+        fs = fractional_space(dirichlet_dec, alpha)
         for _ in range(100):
             c = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
             n = int(rng.integers(1, 21))
@@ -131,7 +139,7 @@ def test_domain_alpha_tail_verdicts(dirichlet_dec):
 
 
 def test_apply_A_alpha_is_diagonal(dirichlet_dec):
-    fs = fractional_space(dirichlet_dec, 0.5, epsilon=1.0)
+    fs = fractional_space(dirichlet_dec, 0.5)
     rng = np.random.default_rng(12)
     c = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
     out = apply_A_alpha(fs, c)
@@ -139,7 +147,7 @@ def test_apply_A_alpha_is_diagonal(dirichlet_dec):
 
 
 def test_decomposition_mismatch_rejected(dirichlet_dec, neumann_dec):
-    fs = fractional_space(dirichlet_dec, 0.5, epsilon=1.0)
+    fs = fractional_space(dirichlet_dec, 0.5)
     foreign = ModalCoefficients(np.ones(3), neumann_dec)
     with pytest.raises(ValueError):
         inner_product_alpha(fs, foreign, foreign)

@@ -70,7 +70,7 @@ def test_trajectory_validation(dirichlet_dec):
 
 def test_growth_bound_both_norms(dirichlet_dec):
     c0 = _rand(dirichlet_dec, 5)
-    fs = fractional_space(dirichlet_dec, 0.5, epsilon=1.0)
+    fs = fractional_space(dirichlet_dec, 0.5)
     traj = trajectory(dirichlet_dec, c0, np.linspace(0.0, 1.0, 9), alpha_space=fs)
     assert np.max(growth_bound(dirichlet_dec, traj)) <= 1.0 + 1e-10
     # alpha norms obey the same envelope: weights are t-independent
@@ -108,7 +108,7 @@ def test_compactness_surrogate(dirichlet_dec, neumann_dec, transformed_dec50, sh
 
 def test_csv_and_json_outputs(dirichlet_dec):
     c0 = _rand(dirichlet_dec, 7)
-    fs = fractional_space(dirichlet_dec, 0.5, epsilon=1.0)
+    fs = fractional_space(dirichlet_dec, 0.5)
     traj = trajectory(dirichlet_dec, c0, [0.0, 0.1, 0.2], alpha_space=fs)
     buf = io.StringIO()
     trajectory_to_csv(traj, buf)
