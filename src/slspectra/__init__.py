@@ -34,15 +34,14 @@ from .eigensolve import (
     EigenvalueBracketError,
     ModalCoefficients,
     SpectralDecomposition,
-    TailReport,
     coefficients_of,
-    domain_membership,
     solve_spectrum,
     synthesize,
 )
 from .fracspace import (
     FractionalSpace,
     RescaledBasis,
+    TailReport,
     apply_A_alpha,
     coercivity_gap,
     fractional_apply,

@@ -205,16 +205,18 @@ def cmd_eigs(args, argv) -> int:
     prob, model, config_text = load_config(args.config)
     N = args.modes
     dec = solve_spectrum(prob, N=N)
-    V = dec.values_matrix()
+    V = dec.values
     W = prob.rho(dec.grid.nodes) * dec.grid.weights
     gram_err = float(np.max(np.abs((V * W) @ V.T - np.eye(N))))
-    bc_res = [bc_residual(prob, f) for f in dec.eigenfunctions]
-    max_bc = float(max(max(abs(ra), abs(rb)) for ra, rb in bc_res))
+    fa, fb, dfa, dfb = dec.boundary
+    res_a = np.abs(prob.bc_a[0] * dfa + prob.bc_a[1] * fa)
+    res_b = np.abs(prob.bc_b[0] * dfb + prob.bc_b[1] * fb)
+    max_bc = float(max(res_a.max(), res_b.max()))
     doc = dec.to_dict()
     doc["residuals"] = {
         "orthonormality": gram_err,
-        "bc_a": [abs(ra) for ra, _ in bc_res],
-        "bc_b": [abs(rb) for _, rb in bc_res],
+        "bc_a": res_a.tolist(),
+        "bc_b": res_b.tolist(),
     }
     if model is not None:
         spec = solve_case_study(model, N) if model.D == 1.0 else None
@@ -261,17 +263,7 @@ def cmd_simulate(args, argv) -> int:
 
     fs = fractional_space(dec, args.alpha) if args.alpha is not None else None
     traj = trajectory(dec, c0, times, alpha_space=fs, kappa=kappa)
-    doc = {
-        "schema_version": 1,
-        "kappa": kappa,
-        "eigenvalues": dec.eigenvalues.tolist(),
-        "times": traj.times.tolist(),
-        "norms_rho": traj.norms_rho.tolist(),
-    }
-    if fs is not None:
-        doc["alpha"] = fs.alpha
-        doc["mu"] = fs.mu
-        doc["norms_alpha"] = traj.norms_alpha.tolist()
+    doc = traj.to_dict()
 
     code = EXIT_OK
     if args.verify:

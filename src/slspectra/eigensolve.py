@@ -58,7 +58,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import List, NamedTuple, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -77,11 +77,9 @@ __all__ = [
     "SpectralDecomposition",
     "ModalCoefficients",
     "EigenvalueBracketError",
-    "TailReport",
     "solve_spectrum",
     "coefficients_of",
     "synthesize",
-    "domain_membership",
 ]
 
 SCHEMA_VERSION = 1
@@ -394,13 +392,6 @@ class _UnitMap:
         a, ell, k = self.a, self.ell, self.factors[:n]
         return lambda s: tuple(map(mul, k, fn(a + ell * s)))
 
-    def eigenfunction(self, grid: Grid, values, ds, dss, fa, fb, dfa, dfb) -> GridFunction:
-        """The GridFunction of z on grid from values and d/ds, d2/ds2 at its nodes."""
-        ell = self.ell
-        return GridFunction(
-            grid, values, ds / ell, dss / (ell * ell), BoundaryData(fa, fb, dfa / ell, dfb / ell)
-        )
-
 
 class _PlainRHS:
     form = "plain"
@@ -471,16 +462,27 @@ class _ScaledRHS:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Truncated spectrum of A = -(SL operator): lambda_1 > ... > lambda_N."""
+    """Truncated spectrum of A = -(SL operator): lambda_1 > ... > lambda_N.
+
+    Mode n is row n - 1 of the (N, nodes) arrays values, deriv and deriv2
+    (phi_n, phi_n' and phi_n'' at the grid nodes) and column n - 1 of the
+    (4, N) array boundary (phi_n(a), phi_n(b), phi_n'(a), phi_n'(b)).
+    Construction makes all four arrays read-only.
+    """
 
     problem: SLProblem
     eigenvalues: np.ndarray
-    eigenfunctions: List[GridFunction]
     grid: Grid
+    values: np.ndarray
+    deriv: np.ndarray
+    deriv2: np.ndarray
+    boundary: np.ndarray
 
     def __post_init__(self):
         if np.any(np.diff(self.eigenvalues) >= 0):
             raise ValueError("eigenvalues must be strictly decreasing")
+        for v in (self.values, self.deriv, self.deriv2, self.boundary):
+            v.flags.writeable = False
 
     @property
     def N(self) -> int:
@@ -490,14 +492,24 @@ class SpectralDecomposition:
     def gamma(self) -> float:
         return float(self.eigenvalues[0])
 
+    @property
+    def eigenfunctions(self) -> List[GridFunction]:
+        """phi_n as GridFunctions whose arrays are views on the mode rows."""
+        return [
+            GridFunction(self.grid, v, d, d2, BoundaryData(*bd))
+            for v, d, d2, bd in zip(self.values, self.deriv, self.deriv2, self.boundary.T)
+        ]
+
     def values_matrix(self) -> np.ndarray:
-        return np.vstack([f.values for f in self.eigenfunctions])
+        """The (N, nodes) mode matrix values itself, not a copy."""
+        return self.values
 
     def truncate(self, n: int) -> "SpectralDecomposition":
         if not 1 <= n <= self.N:
             raise ValueError("bad truncation order")
         return SpectralDecomposition(
-            self.problem, self.eigenvalues[:n], self.eigenfunctions[:n], self.grid
+            self.problem, self.eigenvalues[:n], self.grid,
+            self.values[:n], self.deriv[:n], self.deriv2[:n], self.boundary[:, :n],
         )
 
     def to_dict(self) -> dict:
@@ -518,7 +530,7 @@ class SpectralDecomposition:
                 "nodes": self.grid.nodes.tolist(),
             },
             "eigenvalues": self.eigenvalues.tolist(),
-            "eigenfunctions": [f.values.tolist() for f in self.eigenfunctions],
+            "eigenfunctions": self.values.tolist(),
         }
 
     def to_json(self) -> str:
@@ -603,33 +615,45 @@ class _Shooter:
             out[sel] = states[0] - self.theta(lams[sel], rhs, "b") - math.pi * kidx[sel]
         return out
 
-    def recover(self, lams: np.ndarray) -> List[GridFunction]:
-        """Eigenfunctions on the caller's grid (with derivative grids and exact
-        boundary data), rho-normalized there."""
+    def recover(self, lams: np.ndarray):
+        """values, deriv, deriv2 (N, nodes) and boundary (4, N) of the
+        eigenfunctions on the caller's grid, rho-normalized there.
+
+        Both Pruefer forms are integrated before the mode rows are allocated,
+        so the integrators' work arrays and the rows are never live together.
+        """
+        shots = list(self._shoot(lams, z_out=self.s_out, amplitude=True))
         p_g, q_g, rho_g, dp_g = (v[1:-1] for v in (self.p_s, self.q_s, self.rho_s, self.dp_s))
         p_a, p_b = self.p_s[0], self.p_s[-1]
+        ell = self.unit.ell
         wrho = self.prob.rho(self.grid.nodes) * self.grid.weights
-        funcs: List[Optional[GridFunction]] = [None] * lams.size
-        for sel, rhs, th0, states in self._shoot(lams, z_out=self.s_out, amplitude=True):
+        values, deriv, deriv2 = np.empty((3, lams.size, self.grid.size))
+        boundary = np.empty((4, lams.size))
+        factor = np.empty(lams.size)
+        for sel, rhs, th0, states in shots:
             for j, i in enumerate(sel):
                 lam = lams[i]
                 theta = states[:-1, 0, j]
                 amp = np.exp(states[:-1, 1, j])
                 th_b, amp_b = states[-1, 0, j], math.exp(states[-1, 1, j])
-                # f = amp sin(theta) / S at s = 0, the nodes and s = 1
+                # f = amp sin(theta) / S at s = 0, the nodes and s = 1; d/ds, then d/dz
                 S = rhs.scale(lam, self.p_s, self.q_s, self.rho_s)
-                values = amp * np.sin(theta) / S[1:-1]
+                f = values[i]
+                f[:] = amp * np.sin(theta) / S[1:-1]
                 fa = math.sin(th0[j]) / S[0]
                 fb = amp_b * math.sin(th_b) / S[-1]
-                deriv = amp * np.cos(theta) / p_g
+                ds = amp * np.cos(theta) / p_g
                 dfa = math.cos(th0[j]) / p_a
                 dfb = amp_b * math.cos(th_b) / p_b
-                deriv2 = ((q_g - lam * rho_g) * values - dp_g * deriv) / p_g
-                f = self.unit.eigenfunction(self.grid, values, deriv, deriv2, fa, fb, dfa, dfb)
-                nrm = math.sqrt(float(np.dot(f.values * f.values, wrho)))
-                sign = -1.0 if (fa <= 1e-10 * nrm and dfa < 0.0) else 1.0
-                funcs[i] = f.scaled(sign / nrm)
-        return funcs  # type: ignore[return-value]
+                deriv[i] = ds / ell
+                deriv2[i] = ((q_g - lam * rho_g) * f - dp_g * ds) / p_g / (ell * ell)
+                boundary[:, i] = fa, fb, dfa / ell, dfb / ell
+                nrm = math.sqrt(float(np.dot(f * f, wrho)))
+                factor[i] = (-1.0 if (fa <= 1e-10 * nrm and dfa < 0.0) else 1.0) / nrm
+        for v in (values, deriv, deriv2):
+            v *= factor[:, None]
+        boundary *= factor
+        return values, deriv, deriv2, boundary
 
 
 def _bracket_error(sh, k, what: str, lo: float, hi: float) -> EigenvalueBracketError:
@@ -783,8 +807,7 @@ def solve_spectrum(
     lo, hi, flo, fhi = _search(sh, lo, hi, flo, fhi, kvec)
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
 
-    eigenfunctions = sh.recover(root)
-    return SpectralDecomposition(prob, -sh.unit.lam(root), eigenfunctions, grid)
+    return SpectralDecomposition(prob, -sh.unit.lam(root), grid, *sh.recover(root))
 
 
 # ---------------------------------------------------------------------------
@@ -796,67 +819,12 @@ def coefficients_of(f: GridFunction, dec: SpectralDecomposition) -> ModalCoeffic
     if not f.grid.same_as(dec.grid):
         raise GridMismatchError("function is not on the decomposition grid")
     wrho = dec.grid.weights * dec.problem.rho(dec.grid.nodes)
-    coeffs = dec.values_matrix() @ (wrho * f.values)
+    coeffs = dec.values @ (wrho * f.values)
     return ModalCoefficients(coeffs, dec)
 
 
 def synthesize(c: ModalCoefficients) -> GridFunction:
     """Sum c_n phi_n on the decomposition grid (with derivative grids)."""
-    dec = c.decomposition
-    co = c.coefficients
-    values = co @ dec.values_matrix()
-    deriv = deriv2 = None
-    if all(f.deriv is not None for f in dec.eigenfunctions):
-        deriv = co @ np.vstack([f.deriv for f in dec.eigenfunctions])
-    if all(f.deriv2 is not None for f in dec.eigenfunctions):
-        deriv2 = co @ np.vstack([f.deriv2 for f in dec.eigenfunctions])
-    bd = None
-    if all(f.boundary is not None for f in dec.eigenfunctions):
-        bds = [f.boundary for f in dec.eigenfunctions]
-        bd = BoundaryData(
-            float(np.dot(co, [b_.value_a for b_ in bds])),
-            float(np.dot(co, [b_.value_b for b_ in bds])),
-            float(np.dot(co, [b_.deriv_a for b_ in bds])),
-            float(np.dot(co, [b_.deriv_b for b_ in bds])),
-        )
-    return GridFunction(dec.grid, values, deriv, deriv2, bd)
-
-
-class TailReport(NamedTuple):
-    value: float
-    tail_exponent: float
-    verdict: str  # "in" | "borderline" | "out"
-
-
-def _tail_verdict(summands: np.ndarray, total: float) -> TailReport:
-    """Fit |summand_n| ~ n^e over the last half of the modes.
-
-    The infinite-sum membership criteria can only be approximated from a
-    truncation; the fitted exponent with a half-unit band around the
-    convergence threshold -1 is the documented heuristic.
-    """
-    n = summands.size
-    tail = summands[n // 2 :]
-    idx = np.arange(n // 2, n) + 1.0
-    if np.all(np.abs(tail) <= 1e-300) or np.sum(np.abs(tail)) <= 1e-13 * max(
-        abs(total), 1e-300
-    ):
-        return TailReport(total, -math.inf, "in")
-    mask = np.abs(tail) > 0
-    if np.count_nonzero(mask) < 2:
-        return TailReport(total, -math.inf, "in")
-    slope = np.polyfit(np.log(idx[mask]), np.log(np.abs(tail[mask])), 1)[0]
-    if slope <= -1.5:
-        verdict = "in"
-    elif slope >= -0.5:
-        verdict = "out"
-    else:
-        verdict = "borderline"
-    return TailReport(total, float(slope), verdict)
-
-
-def domain_membership(c: ModalCoefficients) -> TailReport:
-    """Finite truncation of the D(A) criterion sum lambda_n^2 c_n^2."""
-    lam = c.decomposition.eigenvalues
-    summands = lam ** 2 * c.coefficients ** 2
-    return _tail_verdict(summands, float(np.sum(summands)))
+    dec, co = c.decomposition, c.coefficients
+    bd = BoundaryData(*(float(np.dot(co, row)) for row in dec.boundary))
+    return GridFunction(dec.grid, co @ dec.values, co @ dec.deriv, co @ dec.deriv2, bd)

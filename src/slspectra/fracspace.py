@@ -11,20 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .core import GridFunction
-from .eigensolve import (
-    ModalCoefficients,
-    SpectralDecomposition,
-    TailReport,
-    _tail_verdict,
-)
+from .eigensolve import ModalCoefficients, SpectralDecomposition
 
 __all__ = [
     "FractionalSpace",
+    "TailReport",
     "RescaledBasis",
     "fractional_space",
     "coercivity_gap",
@@ -104,8 +100,45 @@ def fractional_apply(
     return c.scaled(fs.weights(sign * fs.alpha))
 
 
+class TailReport(NamedTuple):
+    value: float
+    tail_exponent: float
+    verdict: str  # "in" | "borderline" | "out"
+
+
+def _tail_verdict(summands: np.ndarray, total: float) -> TailReport:
+    """Fit |summand_n| ~ n^e over the last half of the modes.
+
+    The infinite-sum membership criteria can only be approximated from a
+    truncation; the fitted exponent with a half-unit band around the
+    convergence threshold -1 is the documented heuristic.
+    """
+    n = summands.size
+    tail = summands[n // 2 :]
+    idx = np.arange(n // 2, n) + 1.0
+    if np.all(np.abs(tail) <= 1e-300) or np.sum(np.abs(tail)) <= 1e-13 * max(
+        abs(total), 1e-300
+    ):
+        return TailReport(total, -math.inf, "in")
+    mask = np.abs(tail) > 0
+    if np.count_nonzero(mask) < 2:
+        return TailReport(total, -math.inf, "in")
+    slope = np.polyfit(np.log(idx[mask]), np.log(np.abs(tail[mask])), 1)[0]
+    if slope <= -1.5:
+        verdict = "in"
+    elif slope >= -0.5:
+        verdict = "out"
+    else:
+        verdict = "borderline"
+    return TailReport(total, float(slope), verdict)
+
+
 def in_domain_alpha(fs: FractionalSpace, c: ModalCoefficients) -> TailReport:
-    """Truncated sum (mu - lambda_n)^(2 alpha) c_n^2 with a tail verdict."""
+    """Truncated sum (mu - lambda_n)^(2 alpha) c_n^2 with a tail verdict.
+
+    X_1 is D(A), so alpha = 1 is the domain-membership test (any admissible
+    mu gives an equivalent norm; mu = 0 sums lambda_n^2 c_n^2).
+    """
     _check_same(fs, c)
     summands = fs.weights(2.0 * fs.alpha) * c.coefficients ** 2
     return _tail_verdict(summands, float(np.sum(summands)))

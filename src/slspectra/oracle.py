@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import SLProblem
 
@@ -111,6 +109,9 @@ def fd_eigs(op: FDOperator, k: int) -> Tuple[np.ndarray, np.ndarray]:
     symmetric-tridiagonal form.  Sign convention matches the shooting
     solver: positive value (or slope) at the left end.
     """
+    # imported here: scipy.linalg is slow to import, and only the oracle needs it
+    from scipy.linalg import eigh_tridiagonal
+
     n = op.size
     if not 1 <= k <= n:
         raise ValueError("k out of range")
@@ -151,6 +152,9 @@ def crank_nicolson(
     LU-factored (pivoted, LAPACK gttrf) once per step size, so a step costs
     one matvec and one gttrs solve.
     """
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:

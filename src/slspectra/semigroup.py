@@ -59,6 +59,21 @@ class SemigroupTrajectory:
     def state(self, i: int) -> ModalCoefficients:
         return ModalCoefficients(self.states[i].copy(), self.decomposition)
 
+    def to_dict(self) -> dict:
+        doc = {
+            "schema_version": 1,
+            "kappa": self.kappa,
+            "eigenvalues": self.decomposition.eigenvalues.tolist(),
+            "times": self.times.tolist(),
+            "coefficients": self.states.tolist(),
+            "norms_rho": self.norms_rho.tolist(),
+        }
+        if self.norms_alpha is not None:
+            doc["norms_alpha"] = self.norms_alpha.tolist()
+            doc["alpha"] = self.space_alpha.alpha
+            doc["mu"] = self.space_alpha.mu
+        return doc
+
 
 def trajectory(
     dec: SpectralDecomposition,
@@ -141,16 +156,4 @@ def trajectory_to_csv(traj: SemigroupTrajectory, path_or_file) -> None:
 
 
 def trajectory_to_json(traj: SemigroupTrajectory) -> str:
-    doc = {
-        "schema_version": 1,
-        "kappa": traj.kappa,
-        "eigenvalues": traj.decomposition.eigenvalues.tolist(),
-        "times": traj.times.tolist(),
-        "coefficients": traj.states.tolist(),
-        "norms_rho": traj.norms_rho.tolist(),
-    }
-    if traj.norms_alpha is not None:
-        doc["norms_alpha"] = traj.norms_alpha.tolist()
-        doc["alpha"] = traj.space_alpha.alpha
-        doc["mu"] = traj.space_alpha.mu
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(traj.to_dict(), sort_keys=True, indent=2)

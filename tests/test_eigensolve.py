@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from slspectra.core import (
 from slspectra.eigensolve import (
     ModalCoefficients,
     coefficients_of,
-    domain_membership,
     solve_spectrum,
     synthesize,
 )
+from slspectra.fracspace import fractional_space, in_domain_alpha
 from slspectra.casestudy import transformed_problem, dcr_sl_problem
 
 
@@ -128,6 +129,43 @@ def test_truncate(transformed_dec50):
     assert small.gamma == transformed_dec50.gamma
 
 
+def test_mode_array_layout(transformed_dec50):
+    dec = transformed_dec50
+    rows = (dec.N, dec.grid.size)
+    for arr, shape in ((dec.values, rows), (dec.deriv, rows), (dec.deriv2, rows),
+                       (dec.boundary, (4, dec.N))):
+        assert arr.shape == shape
+        assert not arr.flags.writeable
+    assert dec.values_matrix() is dec.values
+    f = dec.eigenfunctions[7]
+    for got, arr in ((f.values, dec.values), (f.deriv, dec.deriv), (f.deriv2, dec.deriv2)):
+        assert np.shares_memory(got, arr[7]) and not np.shares_memory(got, arr[8])
+        assert np.array_equal(got, arr[7])
+    bd = f.boundary
+    assert (bd.value_a, bd.value_b, bd.deriv_a, bd.deriv_b) == tuple(dec.boundary[:, 7])
+    small = dec.truncate(20)
+    for name in ("values", "deriv", "deriv2"):
+        assert np.shares_memory(getattr(small, name), getattr(dec, name))
+        assert np.array_equal(getattr(small, name), getattr(dec, name)[:20])
+    assert np.array_equal(small.boundary, dec.boundary[:, :20])
+
+
+def test_recovery_peak_memory(dirichlet_problem):
+    # Recovery integrates both Pruefer forms before it allocates the mode
+    # rows, so at N = 200 the peak is the rows plus the dense Pruefer states,
+    # 1.70x the rows.  Rows allocated before integrating read 1.95x, and
+    # whole-array formulas over the modes 3.4x.
+    solve_spectrum(dirichlet_problem, N=3)  # compile the coefficients outside the measurement
+    tracemalloc.start()
+    try:
+        dec = solve_spectrum(dirichlet_problem, N=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(a.nbytes for a in (dec.values, dec.deriv, dec.deriv2, dec.boundary))
+    assert peak <= 1.8 * rows, peak / rows
+
+
 def test_json_round_trip(neumann_dec):
     doc = json.loads(neumann_dec.to_json())
     assert doc["schema_version"] == 1
@@ -137,13 +175,15 @@ def test_json_round_trip(neumann_dec):
 
 
 def test_domain_membership_verdicts(dirichlet_dec):
+    # D(A) = X_1; with mu = 0 its norm sums lambda_n^2 c_n^2
+    domain = fractional_space(dirichlet_dec, 1.0, mu=0.0)
     # single-mode data is trivially in D(A)
     e1 = np.zeros(20)
     e1[0] = 1.0
-    assert domain_membership(ModalCoefficients(e1, dirichlet_dec)).verdict == "in"
+    assert in_domain_alpha(domain, ModalCoefficients(e1, dirichlet_dec)).verdict == "in"
     # f(z) = z has c_n ~ 1/n, so lambda^2 c^2 ~ n^2: far outside D(A)
     f = grid_function(dirichlet_dec.grid, lambda z: z)
-    rep = domain_membership(coefficients_of(f, dirichlet_dec))
+    rep = in_domain_alpha(domain, coefficients_of(f, dirichlet_dec))
     assert rep.verdict == "out"
 
 
@@ -600,12 +640,14 @@ def test_dop853_tableau_matches_scipy():
 
 
 def test_import_loads_no_scipy_solvers():
-    # scipy.integrate adds about 0.4 s and 22 MiB of peak RSS to `import slspectra`
+    # scipy.integrate adds about 0.4 s and 22 MiB of peak RSS to `import slspectra`,
+    # and scipy.linalg about 0.3 s and 27 MiB
     src = os.path.dirname(os.path.dirname(slspectra.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys, slspectra; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
+            "if m in sys.modules])")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]", res.stdout
