@@ -40,7 +40,6 @@ from .eigensolve import (
 )
 from .fracspace import (
     FractionalSpace,
-    RescaledBasis,
     TailReport,
     apply_A_alpha,
     coercivity_gap,

@@ -259,11 +259,11 @@ def norm_rho(f: GridFunction, rho: CoeffExpr) -> float:
 
 
 def _lagrange_extrapolate(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
-    n = xs.size
-    # barycentric weights for the panel's Gauss nodes
-    w = np.ones(n)
-    for j in range(n):
-        w[j] = 1.0 / np.prod(xs[j] - np.delete(xs, j))
+    # barycentric weights for the panel's Gauss nodes: a unit diagonal
+    # drops the j = k factor from each row's product
+    diffs = xs[:, None] - xs[None, :]
+    np.fill_diagonal(diffs, 1.0)
+    w = 1.0 / np.prod(diffs, axis=1)
     d = x - xs
     return float(np.sum(w / d * ys) / np.sum(w / d))
 

@@ -591,11 +591,8 @@ class _Shooter:
         end = 0 if z_end == "a" else -1
         alpha, beta = self.unit.bc_a if z_end == "a" else self.unit.bc_b
         s_fac = rhs.scale(lams, self.p_s[end], self.q_s[end], self.rho_s[end])
-        th = np.arctan2(-alpha * s_fac, self.p_s[end] * beta)
-        if z_end == "a":  # th is in [-pi, pi]
-            return np.where(th < 0.0, th + math.pi, np.where(th >= math.pi, th - math.pi, th))
-        th = np.where(th <= 0.0, th + math.pi, th)
-        return np.where(th <= 0.0, th + math.pi, th)  # -pi takes two turns
+        th = np.mod(np.arctan2(-alpha * s_fac, self.p_s[end] * beta), math.pi)
+        return th if z_end == "a" else np.where(th == 0.0, math.pi, th)
 
     def _shoot(self, lams: np.ndarray, **kwargs):
         """(indices, Pruefer RHS, theta at a, _integrate states) per Pruefer form in lams."""
@@ -818,6 +815,8 @@ def coefficients_of(f: GridFunction, dec: SpectralDecomposition) -> ModalCoeffic
     """c_n = <f, phi_n>_rho for every computed mode."""
     if not f.grid.same_as(dec.grid):
         raise GridMismatchError("function is not on the decomposition grid")
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("function values must be finite at the grid nodes")
     wrho = dec.grid.weights * dec.problem.rho(dec.grid.nodes)
     coeffs = dec.values @ (wrho * f.values)
     return ModalCoefficients(coeffs, dec)

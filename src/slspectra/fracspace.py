@@ -21,7 +21,6 @@ from .eigensolve import ModalCoefficients, SpectralDecomposition
 __all__ = [
     "FractionalSpace",
     "TailReport",
-    "RescaledBasis",
     "fractional_space",
     "coercivity_gap",
     "fractional_apply",
@@ -159,17 +158,10 @@ def norm_alpha(fs: FractionalSpace, f: ModalCoefficients) -> float:
     return math.sqrt(max(inner_product_alpha(fs, f, f), 0.0))
 
 
-@dataclass(frozen=True)
-class RescaledBasis:
-    functions: List[GridFunction]
-    parent: FractionalSpace
-
-
-def rescaled_basis(fs: FractionalSpace) -> RescaledBasis:
+def rescaled_basis(fs: FractionalSpace) -> List[GridFunction]:
     """phi_{n,alpha} = (mu - lambda_n)^(-alpha) phi_n as grid functions."""
     scale = fs.weights(-fs.alpha)
-    funcs = [f.scaled(float(s)) for f, s in zip(fs.dec.eigenfunctions, scale)]
-    return RescaledBasis(funcs, fs)
+    return [f.scaled(float(s)) for f, s in zip(fs.dec.eigenfunctions, scale)]
 
 
 def scaling_identity_check(

@@ -155,8 +155,8 @@ def crank_nicolson(
     from scipy.linalg import LinAlgError
     from scipy.linalg.lapack import dgttrf, dgttrs
 
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     if t < 0:
         raise ValueError("t must be nonnegative")
     x = np.asarray(x0, dtype=float).copy()

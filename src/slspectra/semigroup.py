@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .eigensolve import ZERO_EIGENVALUE_TOL, ModalCoefficients, SpectralDecomposition
-from .fracspace import FractionalSpace, norm_alpha
+from .fracspace import FractionalSpace, _check_same
 
 __all__ = [
     "SemigroupTrajectory",
@@ -31,19 +33,19 @@ __all__ = [
 _TINY = np.finfo(np.float64).tiny  # smallest positive normal
 
 
-def evolve(
-    dec: SpectralDecomposition,
-    c0: ModalCoefficients,
-    t: float,
-    kappa: float = 0.0,
-) -> ModalCoefficients:
-    """Coefficients at time t >= 0; subnormal magnitudes flush to zero."""
-    if t < 0.0:
-        raise ValueError("semigroup is defined for t >= 0 only")
-    factors = np.exp((dec.eigenvalues - kappa) * t)
-    out = c0.coefficients * factors
+def _flow(c0: ModalCoefficients, t, kappa: float) -> np.ndarray:
+    """exp((lambda_n - kappa) t) c_n(0) for a time t, or one row per time of
+    a column t; subnormal magnitudes flush to zero."""
+    if not (math.isfinite(kappa) and ((0.0 <= t) & (t < math.inf)).all()):
+        raise ValueError("times must be finite and >= 0, and kappa finite")
+    out = c0.coefficients * np.exp((c0.decomposition.eigenvalues - kappa) * t)
     out[np.abs(out) < _TINY] = 0.0
-    return ModalCoefficients(out, dec)
+    return out
+
+
+def evolve(c0: ModalCoefficients, t: float, kappa: float = 0.0) -> ModalCoefficients:
+    """Coefficients at time t >= 0, in the decomposition of c0."""
+    return ModalCoefficients(_flow(c0, np.float64(t), kappa), c0.decomposition)
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,6 @@ class SemigroupTrajectory:
     space_alpha: Optional[FractionalSpace]
     kappa: float
     decomposition: SpectralDecomposition
-
-    def state(self, i: int) -> ModalCoefficients:
-        return ModalCoefficients(self.states[i].copy(), self.decomposition)
 
     def to_dict(self) -> dict:
         doc = {
@@ -76,7 +75,6 @@ class SemigroupTrajectory:
 
 
 def trajectory(
-    dec: SpectralDecomposition,
     c0: ModalCoefficients,
     times: Sequence[float],
     alpha_space: Optional[FractionalSpace] = None,
@@ -86,18 +84,18 @@ def trajectory(
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
-    if t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("times must be strictly increasing and non-negative")
-    states = np.empty((t.size, dec.N))
-    norms_rho = np.empty(t.size)
-    norms_a = np.empty(t.size) if alpha_space is not None else None
-    for i, ti in enumerate(t):
-        c = evolve(dec, c0, float(ti), kappa)
-        states[i] = c.coefficients
-        norms_rho[i] = float(np.linalg.norm(c.coefficients))
-        if alpha_space is not None:
-            norms_a[i] = norm_alpha(alpha_space, c)
-    return SemigroupTrajectory(t, states, norms_rho, norms_a, alpha_space, kappa, dec)
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("times must be strictly increasing")
+    states = _flow(c0, t[:, None], kappa)
+    # one dot per row, as np.linalg.norm computes it
+    norms_rho = np.sqrt([np.dot(row, row) for row in states])
+    norms_a = None
+    if alpha_space is not None:
+        _check_same(alpha_space, c0)
+        w = alpha_space.weights(2.0 * alpha_space.alpha)
+        norms_a = np.sqrt(np.maximum(np.sum(w * states * states, axis=1), 0.0))
+    return SemigroupTrajectory(t, states, norms_rho, norms_a, alpha_space, kappa,
+                               c0.decomposition)
 
 
 def is_exponentially_stable(dec: SpectralDecomposition) -> Tuple[bool, float]:
@@ -111,7 +109,7 @@ def is_exponentially_stable(dec: SpectralDecomposition) -> Tuple[bool, float]:
     return stable, (-gamma if stable else 0.0)
 
 
-def is_compact(dec_or_eigs) -> bool:
+def is_compact(eigenvalues) -> bool:
     """Finite surrogate for compactness of the resolvent/semigroup tail.
 
     True when only finitely many eigenvalues are >= 0 within the window
@@ -119,10 +117,7 @@ def is_compact(dec_or_eigs) -> bool:
     behaviour an SL spectrum must show.  Eigenvalues within
     ZERO_EIGENVALUE_TOL of 0 count as 0.
     """
-    if isinstance(dec_or_eigs, SpectralDecomposition):
-        lam = dec_or_eigs.eigenvalues
-    else:
-        lam = np.asarray(dec_or_eigs, dtype=np.float64)
+    lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.size == 0:
         raise ValueError("empty eigenvalue sequence")
     nonneg = int(np.sum(lam >= -ZERO_EIGENVALUE_TOL))
@@ -130,20 +125,19 @@ def is_compact(dec_or_eigs) -> bool:
     return nonneg < lam.size and decreasing
 
 
-def growth_bound(
-    dec: SpectralDecomposition, traj: SemigroupTrajectory
-) -> np.ndarray:
+def growth_bound(traj: SemigroupTrajectory) -> np.ndarray:
     """Per-time ratios ||c(t)|| / (exp(gamma t) ||c(0)||), each <= 1 + eps."""
     n0 = traj.norms_rho[0]
     if n0 == 0.0:
         raise ValueError("growth bound undefined for the zero initial state")
-    envelope = np.exp((dec.gamma - traj.kappa) * (traj.times - traj.times[0])) * n0
+    gamma = traj.decomposition.gamma
+    envelope = np.exp((gamma - traj.kappa) * (traj.times - traj.times[0])) * n0
     return traj.norms_rho / envelope
 
 
 def trajectory_to_csv(traj: SemigroupTrajectory, path_or_file) -> None:
     """Rows: t, then the N modal coefficients, full precision."""
-    own = isinstance(path_or_file, (str, bytes))
+    own = isinstance(path_or_file, (str, bytes, os.PathLike))
     fh = open(path_or_file, "w", newline="") if own else path_or_file
     try:
         writer = csv.writer(fh)

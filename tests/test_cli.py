@@ -187,8 +187,15 @@ def test_simulate_bad_times_exits_1(dirichlet_config, capsys):
      ["simulate", "--x0", "z", "--times", "0.1", "--modes", "4", "--verify",
       "--oracle-cells", "3"],
      ["simulate", "--x0", "z", "--times", "0.1", "--modes", "4", "--verify",
-      "--oracle-dt", "0"]],
-    ids=["eigs-modes-0", "alpha-0", "alpha-5", "modes-0", "oracle-cells-3", "oracle-dt-0"],
+      "--oracle-dt", "0"],
+     ["simulate", "--x0", "z", "--times", "0.1", "--modes", "4", "--verify",
+      "--oracle-dt", "inf"],
+     ["simulate", "--x0", "z*(1-z)", "--times", "0.1,nan"],
+     ["simulate", "--x0", "z*(1-z)", "--times", "0,inf"],
+     ["simulate", "--x0", "z*(1-z)", "--times", "0.1", "--kappa", "nan"],
+     ["simulate", "--x0", "1/(z-z)", "--times", "0.1"]],
+    ids=["eigs-modes-0", "alpha-0", "alpha-5", "modes-0", "oracle-cells-3", "oracle-dt-0",
+         "oracle-dt-inf", "times-nan", "times-inf", "kappa-nan", "x0-non-finite"],
 )
 def test_bad_option_values_exit_1_with_a_message(argv, dirichlet_config, capsys):
     # a value the library rejects is an input error, reported without a traceback

@@ -77,6 +77,21 @@ def test_boundary_values_exact_when_stored_and_accurate_when_extrapolated():
     assert vb == pytest.approx(math.e, abs=1e-12)
 
 
+def test_end_panel_extrapolation_matches_the_product_loop():
+    # reference: one barycentric weight per node, 1 / prod_{k != j} (x_j - x_k)
+    def extrapolate(xs, ys, x):
+        w = np.array([1.0 / np.prod(xs[j] - np.delete(xs, j)) for j in range(xs.size)])
+        return float(np.sum(w / (x - xs) * ys) / np.sum(w / (x - xs)))
+
+    for panels, (a, b) in [(4, (0.0, 1.0)), (16, (-3.0, 7.5)), (64, (0.0, 50.0)),
+                           (200, (1e-3, 2e-3))]:
+        g = make_grid(Interval(a, b), panels=panels)
+        v = np.cos(3.0 * g.nodes / (b - a))
+        n = g.points
+        want = (extrapolate(g.nodes[:n], v[:n], a), extrapolate(g.nodes[-n:], v[-n:], b))
+        assert boundary_values(GridFunction(g, v)) == want
+
+
 def test_apply_operator_constant_coefficients():
     prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 1.0), (0.0, 1.0))
     g = make_grid(Interval(0.0, 1.0))

@@ -14,6 +14,7 @@ import pytest
 import slspectra
 import slspectra.eigensolve as eigensolve
 from slspectra.core import (
+    GridFunction,
     SLProblem,
     apply_operator,
     bc_residual,
@@ -112,6 +113,14 @@ def test_projection_coefficients_linear_function(dirichlet_dec):
     n = np.arange(1.0, 21.0)
     exact = math.sqrt(2.0) * (-1.0) ** (n + 1) / (n * math.pi)
     assert np.max(np.abs(c.coefficients - exact)) < 1e-12
+
+
+def test_projection_rejects_non_finite_values(dirichlet_dec):
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones_like(dirichlet_dec.grid.nodes)
+        values[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            coefficients_of(GridFunction(dirichlet_dec.grid, values), dirichlet_dec)
 
 
 def test_synthesize_round_trip(dirichlet_dec):

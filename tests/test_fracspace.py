@@ -105,7 +105,7 @@ def test_rescaled_basis_is_orthonormal_in_alpha(dirichlet_dec, transformed_dec50
         for alpha in (0.25, 0.5, 1.0, 1.5):
             fs = fractional_space(dec, alpha, **shift)
             # project the rescaled grid functions back and form the alpha-Gram
-            coefs = [coefficients_of(f, dec) for f in rescaled_basis(fs).functions]
+            coefs = [coefficients_of(f, dec) for f in rescaled_basis(fs)]
             G = np.array(
                 [[inner_product_alpha(fs, ci, cj) for cj in coefs] for ci in coefs]
             )
