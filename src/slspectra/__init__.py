@@ -9,7 +9,6 @@ case study exercises the whole stack with closed-form references.
 """
 
 from .core import (
-    BoundaryData,
     BracketError,
     Grid,
     GridFunction,

@@ -30,7 +30,6 @@ from typing import List, Literal, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    BoundaryData,
     Grid,
     GridFunction,
     Interval,
@@ -78,8 +77,8 @@ class DCRModel:
     k0: float
 
     def __post_init__(self):
-        if self.D <= 0.0 or self.k0 <= 0.0:
-            raise ValueError("D and k0 must be positive")
+        if not (0.0 < self.D < math.inf and 0.0 < self.k0 < math.inf):
+            raise ValueError("D and k0 must be positive and finite")
 
     @property
     def kappa(self) -> float:
@@ -120,21 +119,7 @@ def transform_state(
         deriv = w * (x.deriv + c * x.values)
         if x.deriv2 is not None:
             deriv2 = w * (x.deriv2 + 2.0 * c * x.deriv + c * c * x.values)
-    boundary = None
-    if x.boundary is not None:
-        a, b = x.grid.interval.a, x.grid.interval.b
-        wa, wb = math.exp(c * a), math.exp(c * b)
-        da = db = None
-        if x.boundary.deriv_a is not None and x.boundary.deriv_b is not None:
-            da = wa * (x.boundary.deriv_a + c * x.boundary.value_a)
-            db = wb * (x.boundary.deriv_b + c * x.boundary.value_b)
-        boundary = BoundaryData(
-            value_a=x.boundary.value_a * wa,
-            value_b=x.boundary.value_b * wb,
-            deriv_a=da,
-            deriv_b=db,
-        )
-    return GridFunction(x.grid, values, deriv=deriv, deriv2=deriv2, boundary=boundary)
+    return GridFunction(x.grid, values, deriv=deriv, deriv2=deriv2)
 
 
 def transformed_problem(model: DCRModel) -> SLProblem:
@@ -229,17 +214,8 @@ def closed_form_eigenfunction(
         return k * (-s * np.sin(s * z) + np.cos(s * z) / 2.0)
 
     z = grid.nodes
-    a, b = grid.interval.a, grid.interval.b
-    boundary = BoundaryData(
-        value_a=float(val(np.float64(a))),
-        value_b=float(val(np.float64(b))),
-        deriv_a=float(dval(np.float64(a))),
-        deriv_b=float(dval(np.float64(b))),
-    )
     values = val(z)
-    return GridFunction(
-        grid, values, deriv=dval(z), deriv2=-s * s * values, boundary=boundary
-    )
+    return GridFunction(grid, values, deriv=dval(z), deriv2=-s * s * values)
 
 
 def h1_inner_product(f: GridFunction, g: GridFunction) -> float:
@@ -338,9 +314,8 @@ def norm_equivalence(
 def trig_corpus(grid: Grid, size: int, seed: int) -> List[GridFunction]:
     """Seeded trigonometric polynomials a0 + b0 z + sum_k a_k cos(k pi z) + b_k sin(k pi z).
 
-    k runs to 10.  Coefficients are uniform in [-1, 1]; derivatives and
-    boundary data are analytic, so every member is a legitimate H^1 test
-    function.
+    k runs to 10.  Coefficients are uniform in [-1, 1]; derivatives are
+    analytic, so every member is a legitimate H^1 test function.
     """
     degree = 10
     rng = np.random.default_rng(seed)
@@ -348,9 +323,6 @@ def trig_corpus(grid: Grid, size: int, seed: int) -> List[GridFunction]:
     ks = np.arange(1, degree + 1) * math.pi
     cos_b = np.cos(np.outer(ks, z))            # (degree, M)
     sin_b = np.sin(np.outer(ks, z))
-    a, b = grid.interval.a, grid.interval.b
-    ends = np.array([a, b])
-    cos_e, sin_e = np.cos(np.outer(ks, ends)), np.sin(np.outer(ks, ends))
     out: List[GridFunction] = []
     for _ in range(size):
         c = rng.uniform(-1.0, 1.0, size=2 * degree + 2)
@@ -359,10 +331,7 @@ def trig_corpus(grid: Grid, size: int, seed: int) -> List[GridFunction]:
         values = a0 + b0 * z + ac @ cos_b + bs @ sin_b
         deriv = b0 - (ac * ks) @ sin_b + (bs * ks) @ cos_b
         deriv2 = -(ac * ks * ks) @ cos_b - (bs * ks * ks) @ sin_b
-        v_e = a0 + b0 * ends + ac @ cos_e + bs @ sin_e
-        d_e = b0 - (ac * ks) @ sin_e + (bs * ks) @ cos_e
-        boundary = BoundaryData(v_e[0], v_e[1], d_e[0], d_e[1])
-        out.append(GridFunction(grid, values, deriv=deriv, deriv2=deriv2, boundary=boundary))
+        out.append(GridFunction(grid, values, deriv=deriv, deriv2=deriv2))
     return out
 
 
@@ -404,21 +373,14 @@ def boundary_trace_closed_form(spec: CaseStudySpectrum, z0: float) -> np.ndarray
 
 
 def _direct_traces(spec: CaseStudySpectrum, z0: float, N: int) -> np.ndarray:
-    """phi_{n,1/2}(z0) by grid sampling + boundary extrapolation, no stored data.
-
-    The grid is refined with the largest root so the end-panel polynomial
-    extrapolation stays far below the 1e-8 agreement budget.
-    """
-    s_max = float(spec.s[N - 1])
-    panels = max(64, int(math.ceil(1.2 * s_max)))
-    grid = make_grid(Interval(0.0, 1.0), panels=panels)
-    vals = np.empty(N)
-    for n in range(1, N + 1):
-        phi = closed_form_eigenfunction(spec, n, grid)
-        bare = GridFunction(grid, phi.values / float(spec.s[n - 1]))
-        va, vb = boundary_values(bare)
-        vals[n - 1] = va if z0 == 0.0 else vb
-    return vals
+    """phi_{n,1/2}(z0) = phi_n(z0) / s_n, read off the end nodes of phi_n
+    sampled on the default grid."""
+    grid = make_grid(Interval(0.0, 1.0))
+    end = 0 if z0 == 0.0 else 1
+    return np.array([
+        boundary_values(closed_form_eigenfunction(spec, n, grid))[end] / float(spec.s[n - 1])
+        for n in range(1, N + 1)
+    ])
 
 
 def observability_test(
@@ -452,8 +414,12 @@ def observability_from_values(
 ) -> ObservabilityReport:
     """Build a report from raw trace magnitudes (synthetic inputs allowed)."""
     values = np.abs(np.asarray(values, dtype=np.float64))
-    if values.size == 0:
-        raise ValueError("empty trace vector")
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("trace values must be a nonempty vector")
+    if not (np.all(np.isfinite(values)) and math.isfinite(z0) and math.isfinite(alpha)):
+        raise ValueError("trace values, z0 and alpha must be finite")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
     imin = int(np.argmin(values))
     minimum = float(values[imin])
     verdict = minimum > tol

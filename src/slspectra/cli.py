@@ -210,7 +210,7 @@ def cmd_eigs(args, argv) -> int:
     V = dec.values
     W = prob.rho(dec.grid.nodes) * dec.grid.weights
     gram_err = float(np.max(np.abs((V * W) @ V.T - np.eye(N))))
-    fa, fb, dfa, dfb = dec.boundary
+    fa, fb, dfa, dfb = dec.values[:, 0], dec.values[:, -1], dec.deriv[:, 0], dec.deriv[:, -1]
     res_a = np.abs(prob.bc_a[0] * dfa + prob.bc_a[1] * fa)
     res_b = np.abs(prob.bc_b[0] * dfb + prob.bc_b[1] * fb)
     max_bc = float(max(res_a.max(), res_b.max()))
@@ -310,7 +310,7 @@ def cmd_observe(args, argv) -> int:
             values = np.asarray(doc_in["values"], dtype=np.float64)
             z0 = float(doc_in.get("z0", args.z0))
             alpha = float(doc_in.get("alpha", 0.5))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad synthetic report input: {exc}")
         report = observability_from_values(values, z0, alpha, tol=args.tol)
         config_text = None

@@ -1,9 +1,9 @@
 """Grids, quadrature, weighted inner products and the differential operator.
 
 Everything here is plain data plus pure functions.  The grid is a composite
-Gauss-Legendre rule (P panels of g points); Gauss nodes are interior to the
-interval, so boundary values are obtained either from stored analytic
-boundary data or by Lagrange extrapolation of the end panels.
+Gauss-Legendre rule (P panels of g points) with the interval ends a and b
+added as its first and last nodes, each with quadrature weight 0, so every
+sampled function carries its boundary values in its own arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .expressions import CoeffExpr, parse_coeff
 __all__ = [
     "Interval",
     "Grid",
-    "BoundaryData",
     "GridFunction",
     "SLProblem",
     "BracketError",
@@ -70,46 +69,35 @@ class Interval:
 
 @dataclass(frozen=True)
 class Grid:
-    """Composite Gauss-Legendre quadrature grid on an interval."""
+    """Composite Gauss-Legendre quadrature grid on an interval, whose first
+    and last nodes are the interval ends (weight 0)."""
 
     interval: Interval
     nodes: np.ndarray
     weights: np.ndarray
     panels: int
-    points: int
 
     @property
     def size(self) -> int:
         return self.nodes.size
 
     def same_as(self, other: "Grid") -> bool:
-        return (
-            self.interval == other.interval
-            and self.panels == other.panels
-            and self.points == other.points
-        )
+        return self.interval == other.interval and self.panels == other.panels
 
 
 def make_grid(interval: Interval, panels: int = DEFAULT_PANELS) -> Grid:
-    """panels Gauss-Legendre panels of DEFAULT_POINTS nodes each."""
+    """panels Gauss-Legendre panels of DEFAULT_POINTS nodes each, between a
+    and b as the first and last nodes, which have weight 0."""
     if panels < 1:
         raise ValueError("need panels >= 1")
     x, w = np.polynomial.legendre.leggauss(DEFAULT_POINTS)
+    a, b = interval.a, interval.b
     h = interval.length / panels
-    left = interval.a + h * np.arange(panels)
-    nodes = (left[:, None] + (x[None, :] + 1.0) * (h / 2.0)).ravel()
-    weights = np.tile(w * h / 2.0, panels)
-    return Grid(interval, nodes, weights, panels, DEFAULT_POINTS)
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Analytic endpoint values, carried when the source function is known."""
-
-    value_a: float
-    value_b: float
-    deriv_a: Optional[float] = None
-    deriv_b: Optional[float] = None
+    left = a + h * np.arange(panels)
+    gauss = (left[:, None] + (x[None, :] + 1.0) * (h / 2.0)).ravel()
+    nodes = np.concatenate([[a], gauss, [b]])
+    weights = np.concatenate([[0.0], np.tile(w * h / 2.0, panels), [0.0]])
+    return Grid(interval, nodes, weights, panels)
 
 
 @dataclass(frozen=True)
@@ -118,7 +106,6 @@ class GridFunction:
     values: np.ndarray
     deriv: Optional[np.ndarray] = None
     deriv2: Optional[np.ndarray] = None
-    boundary: Optional[BoundaryData] = None
 
     def __post_init__(self):
         if self.values.shape != self.grid.nodes.shape:
@@ -135,25 +122,12 @@ class GridFunction:
     def weights(self) -> np.ndarray:
         return self.grid.weights
 
-    @property
-    def interval(self) -> Interval:
-        return self.grid.interval
-
     def scaled(self, c: float) -> "GridFunction":
-        bd = self.boundary
-        if bd is not None:
-            bd = BoundaryData(
-                c * bd.value_a,
-                c * bd.value_b,
-                None if bd.deriv_a is None else c * bd.deriv_a,
-                None if bd.deriv_b is None else c * bd.deriv_b,
-            )
         return GridFunction(
             self.grid,
             c * self.values,
             None if self.deriv is None else c * self.deriv,
             None if self.deriv2 is None else c * self.deriv2,
-            bd,
         )
 
 
@@ -164,18 +138,11 @@ def grid_function(
     d2fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> GridFunction:
     """Sample an analytic function (and optional derivatives) on a grid."""
-    a, b = grid.interval.a, grid.interval.b
     z = grid.nodes
     values = np.asarray(fn(z), dtype=float) + np.zeros_like(z)
     deriv = None if dfn is None else np.asarray(dfn(z), dtype=float) + np.zeros_like(z)
     deriv2 = None if d2fn is None else np.asarray(d2fn(z), dtype=float) + np.zeros_like(z)
-    boundary = BoundaryData(
-        float(fn(a)),
-        float(fn(b)),
-        None if dfn is None else float(dfn(a)),
-        None if dfn is None else float(dfn(b)),
-    )
-    return GridFunction(grid, values, deriv, deriv2, boundary)
+    return GridFunction(grid, values, deriv, deriv2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +172,8 @@ class SLProblem:
     drho: CoeffExpr = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite([*self.bc_a, *self.bc_b])):
+            raise ValueError("boundary condition entries must be finite")
         if self.bc_a == (0.0, 0.0) or self.bc_b == (0.0, 0.0):
             raise ValueError("boundary condition pair must not be (0, 0)")
         object.__setattr__(self, "dp", self.p.derivative())
@@ -255,40 +224,17 @@ def norm_rho(f: GridFunction, rho: CoeffExpr) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Boundary evaluation: stored data first, end-panel Lagrange otherwise
-
-
-def _lagrange_extrapolate(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
-    # barycentric weights for the panel's Gauss nodes: a unit diagonal
-    # drops the j = k factor from each row's product
-    diffs = xs[:, None] - xs[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    w = 1.0 / np.prod(diffs, axis=1)
-    d = x - xs
-    return float(np.sum(w / d * ys) / np.sum(w / d))
-
-
-def _extrapolate_ends(f: GridFunction, v: np.ndarray) -> Tuple[float, float]:
-    """v (values on f's grid) at a and b, from the Gauss nodes of each end panel."""
-    g = f.grid.points
-    return (
-        _lagrange_extrapolate(f.nodes[:g], v[:g], f.interval.a),
-        _lagrange_extrapolate(f.nodes[-g:], v[-g:], f.interval.b),
-    )
+# Boundary evaluation: the first and last grid nodes are a and b
 
 
 def boundary_values(f: GridFunction) -> Tuple[float, float]:
-    if f.boundary is not None:
-        return f.boundary.value_a, f.boundary.value_b
-    return _extrapolate_ends(f, f.values)
+    return float(f.values[0]), float(f.values[-1])
 
 
 def boundary_derivatives(f: GridFunction) -> Tuple[float, float]:
-    if f.boundary is not None and f.boundary.deriv_a is not None:
-        return f.boundary.deriv_a, f.boundary.deriv_b
     if f.deriv is None:
-        raise MissingDerivativeError("no derivative grid or boundary data")
-    return _extrapolate_ends(f, f.deriv)
+        raise MissingDerivativeError("no derivative grid")
+    return float(f.deriv[0]), float(f.deriv[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ with S = sqrt(p (L rho - q)):
 Both are evaluated in double angles (sin theta cos theta = sin(2 theta)/2,
 sin^2 theta = (1 - cos 2 theta)/2), which takes fewer array operations.
 Written as f = r sin(theta) / S, the plain form has S = 1.  One threshold,
-L* = max((q + 1)/rho) over a, the grid nodes and b, is computed per solve:
-L >= L* is shot in the scaled form (L rho - q >= 1 at every one of those
-points), L < L* in the plain form.
+L* = max((q + 1)/rho) over the grid nodes, a and b among them, is computed
+per solve: L >= L* is shot in the scaled form (L rho - q >= 1 at every one
+of those points), L < L* in the plain form.
 
 The scaled form removes the fast oscillation from the right-hand side (for
 constant coefficients theta' is exactly omega), which is what makes high
@@ -39,7 +39,9 @@ the next step's first.  Eigenfunctions on the grid come from the DOP853
 continuous extension (HNW II.6, contd8, 7th order): the steps run from a to
 b as the controller chooses, at most DENSE_MAX_STEP long, and the nodes
 inside each accepted step are filled from its stages and three more RHS
-calls.  The eigenvalue search never asks for dense output.
+calls.  The grid's first and last nodes are a and b, so the boundary values
+come out as the first and last entries of each mode row.  The eigenvalue
+search never asks for dense output.
 
 The solver works in units-free variables (Pryce 1993, ch. 5): with
 ell = b - a, P = p(a) and R = rho(a) it solves for s = (z - a)/ell, p/P,
@@ -64,7 +66,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_PANELS,
-    BoundaryData,
+    DEFAULT_POINTS,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -465,9 +467,8 @@ class SpectralDecomposition:
     """Truncated spectrum of A = -(SL operator): lambda_1 > ... > lambda_N.
 
     Mode n is row n - 1 of the (N, nodes) arrays values, deriv and deriv2
-    (phi_n, phi_n' and phi_n'' at the grid nodes) and column n - 1 of the
-    (4, N) array boundary (phi_n(a), phi_n(b), phi_n'(a), phi_n'(b)).
-    Construction makes all four arrays read-only.
+    (phi_n, phi_n' and phi_n'' at the grid nodes, whose first and last are a
+    and b).  Construction makes all three arrays read-only.
     """
 
     problem: SLProblem
@@ -476,12 +477,11 @@ class SpectralDecomposition:
     values: np.ndarray
     deriv: np.ndarray
     deriv2: np.ndarray
-    boundary: np.ndarray
 
     def __post_init__(self):
         if np.any(np.diff(self.eigenvalues) >= 0):
             raise ValueError("eigenvalues must be strictly decreasing")
-        for v in (self.values, self.deriv, self.deriv2, self.boundary):
+        for v in (self.values, self.deriv, self.deriv2):
             v.flags.writeable = False
 
     @property
@@ -496,8 +496,8 @@ class SpectralDecomposition:
     def eigenfunctions(self) -> List[GridFunction]:
         """phi_n as GridFunctions whose arrays are views on the mode rows."""
         return [
-            GridFunction(self.grid, v, d, d2, BoundaryData(*bd))
-            for v, d, d2, bd in zip(self.values, self.deriv, self.deriv2, self.boundary.T)
+            GridFunction(self.grid, v, d, d2)
+            for v, d, d2 in zip(self.values, self.deriv, self.deriv2)
         ]
 
     def values_matrix(self) -> np.ndarray:
@@ -509,7 +509,7 @@ class SpectralDecomposition:
             raise ValueError("bad truncation order")
         return SpectralDecomposition(
             self.problem, self.eigenvalues[:n], self.grid,
-            self.values[:n], self.deriv[:n], self.deriv2[:n], self.boundary[:, :n],
+            self.values[:n], self.deriv[:n], self.deriv2[:n],
         )
 
     def to_dict(self) -> dict:
@@ -526,7 +526,7 @@ class SpectralDecomposition:
             },
             "grid": {
                 "panels": self.grid.panels,
-                "points": self.grid.points,
+                "points": DEFAULT_POINTS,
                 "nodes": self.grid.nodes.tolist(),
             },
             "eigenvalues": self.eigenvalues.tolist(),
@@ -569,18 +569,16 @@ class _Shooter:
         self.lam_scale = unit.lam_scale
         self.plain = _PlainRHS(unit)
         self.scaled = _ScaledRHS(unit)
-        # s at the grid nodes, with the end s = 1 appended for recovery
-        self.s_out = np.append((grid.nodes - unit.a) / unit.ell, 1.0)
+        # s at the grid nodes: exactly 0 at the first and 1 at the last
+        self.s_out = (grid.nodes - unit.a) / unit.ell
         self.weights = grid.weights / unit.ell
-        # p^, q^, rho^, p^' at s = 0, the nodes and s = 1; the ends exactly as the RHS sees them
-        self.p_s, self.q_s, self.rho_s, self.dp_s = (
-            np.concatenate([[ca], v, [cb]])
-            for ca, v, cb in zip(
-                self.scaled.coeffs(0.0), unit.coeffs(self.s_out[:-1]), self.scaled.coeffs(1.0)
-            )
-        )
-        # The scaled form is used where L rho - q >= 1 (a margin of 1) at s = 0,
-        # every node and s = 1.  As rho > 0, that is L >= (q + 1)/rho there.
+        # p^, q^, rho^, p^' at the nodes; the ends exactly as the RHS sees them
+        self.p_s, self.q_s, self.rho_s, self.dp_s = unit.coeffs(self.s_out)
+        for end, s in ((0, 0.0), (-1, 1.0)):
+            for v, c in zip((self.p_s, self.q_s, self.rho_s, self.dp_s), self.scaled.coeffs(s)):
+                v[end] = c
+        # The scaled form is used where L rho - q >= 1 (a margin of 1) at
+        # every node.  As rho > 0, that is L >= (q + 1)/rho there.
         self.lam_star = float(np.max((self.q_s + 1.0) / self.rho_s))
 
     def is_scaled(self, lams: np.ndarray) -> np.ndarray:
@@ -595,62 +593,52 @@ class _Shooter:
         return th if z_end == "a" else np.where(th == 0.0, math.pi, th)
 
     def _shoot(self, lams: np.ndarray, **kwargs):
-        """(indices, Pruefer RHS, theta at a, _integrate states) per Pruefer form in lams."""
+        """(indices, Pruefer RHS, _integrate states) per Pruefer form in lams."""
         mask = self.is_scaled(lams)
         for use_scaled, rhs in ((False, self.plain), (True, self.scaled)):
             sel = np.flatnonzero(mask == use_scaled)
             if sel.size:
                 th0 = self.theta(lams[sel], rhs, "a")
                 states = _integrate(rhs, lams[sel], 0.0, 1.0, th0, ODE_RTOL, **kwargs)
-                yield sel, rhs, th0, states
+                yield sel, rhs, states
 
     def miss(self, lams: np.ndarray, kidx: np.ndarray) -> np.ndarray:
         """theta(b; L) - (theta(L at b) + k pi) for each (L, k) pair."""
         lams = np.asarray(lams, dtype=float)
         out = np.empty_like(lams)
-        for sel, rhs, _, states in self._shoot(lams):
+        for sel, rhs, states in self._shoot(lams):
             out[sel] = states[0] - self.theta(lams[sel], rhs, "b") - math.pi * kidx[sel]
         return out
 
     def recover(self, lams: np.ndarray):
-        """values, deriv, deriv2 (N, nodes) and boundary (4, N) of the
-        eigenfunctions on the caller's grid, rho-normalized there.
+        """values, deriv, deriv2 (N, nodes) of the eigenfunctions on the
+        caller's grid, rho-normalized there.
 
         Both Pruefer forms are integrated before the mode rows are allocated,
         so the integrators' work arrays and the rows are never live together.
         """
         shots = list(self._shoot(lams, z_out=self.s_out, amplitude=True))
-        p_g, q_g, rho_g, dp_g = (v[1:-1] for v in (self.p_s, self.q_s, self.rho_s, self.dp_s))
-        p_a, p_b = self.p_s[0], self.p_s[-1]
+        p, q, rho, dp = self.p_s, self.q_s, self.rho_s, self.dp_s
         ell = self.unit.ell
         wrho = self.prob.rho(self.grid.nodes) * self.grid.weights
         values, deriv, deriv2 = np.empty((3, lams.size, self.grid.size))
-        boundary = np.empty((4, lams.size))
         factor = np.empty(lams.size)
-        for sel, rhs, th0, states in shots:
+        for sel, rhs, states in shots:
             for j, i in enumerate(sel):
                 lam = lams[i]
-                theta = states[:-1, 0, j]
-                amp = np.exp(states[:-1, 1, j])
-                th_b, amp_b = states[-1, 0, j], math.exp(states[-1, 1, j])
-                # f = amp sin(theta) / S at s = 0, the nodes and s = 1; d/ds, then d/dz
-                S = rhs.scale(lam, self.p_s, self.q_s, self.rho_s)
+                theta = states[:, 0, j]
+                amp = np.exp(states[:, 1, j])
+                # f = amp sin(theta) / S at the nodes; d/ds, then d/dz
                 f = values[i]
-                f[:] = amp * np.sin(theta) / S[1:-1]
-                fa = math.sin(th0[j]) / S[0]
-                fb = amp_b * math.sin(th_b) / S[-1]
-                ds = amp * np.cos(theta) / p_g
-                dfa = math.cos(th0[j]) / p_a
-                dfb = amp_b * math.cos(th_b) / p_b
+                f[:] = amp * np.sin(theta) / rhs.scale(lam, p, q, rho)
+                ds = amp * np.cos(theta) / p
                 deriv[i] = ds / ell
-                deriv2[i] = ((q_g - lam * rho_g) * f - dp_g * ds) / p_g / (ell * ell)
-                boundary[:, i] = fa, fb, dfa / ell, dfb / ell
+                deriv2[i] = ((q - lam * rho) * f - dp * ds) / p / (ell * ell)
                 nrm = math.sqrt(float(np.dot(f * f, wrho)))
-                factor[i] = (-1.0 if (fa <= 1e-10 * nrm and dfa < 0.0) else 1.0) / nrm
+                factor[i] = (-1.0 if (f[0] <= 1e-10 * nrm and ds[0] < 0.0) else 1.0) / nrm
         for v in (values, deriv, deriv2):
             v *= factor[:, None]
-        boundary *= factor
-        return values, deriv, deriv2, boundary
+        return values, deriv, deriv2
 
 
 def _bracket_error(sh, k, what: str, lo: float, hi: float) -> EigenvalueBracketError:
@@ -761,13 +749,13 @@ def solve_spectrum(
     kvec = np.arange(N, dtype=float)
 
     # Weyl-style guesses: phase gain ~ sqrt(L) J with J = integral sqrt(rho/p)
-    p_g, q_g, rho_g = sh.p_s[1:-1], sh.q_s[1:-1], sh.rho_s[1:-1]
-    J = float(np.dot(np.sqrt(rho_g / p_g), sh.weights))
-    q_shift = float(np.median(q_g / rho_g))
+    J = float(np.dot(np.sqrt(sh.rho_s / sh.p_s), sh.weights))
+    q_rho = sh.q_s / sh.rho_s
+    q_shift = float(np.median(q_rho))
     guesses = ((kvec + 1.0) * math.pi / J) ** 2 + q_shift
 
     # lower edge of the scan window: push down until miss for index 0 < 0
-    lo0 = top = float(np.min(q_g / rho_g)) - 1.0
+    lo0 = top = float(np.min(q_rho)) - 1.0
     step = max(10.0, abs(lo0))
     f0 = sh.miss(np.array([lo0]), np.zeros(1))[0]
     for _ in range(MAX_BRACKET_EXPANSIONS):
@@ -825,5 +813,4 @@ def coefficients_of(f: GridFunction, dec: SpectralDecomposition) -> ModalCoeffic
 def synthesize(c: ModalCoefficients) -> GridFunction:
     """Sum c_n phi_n on the decomposition grid (with derivative grids)."""
     dec, co = c.decomposition, c.coefficients
-    bd = BoundaryData(*(float(np.dot(co, row)) for row in dec.boundary))
-    return GridFunction(dec.grid, co @ dec.values, co @ dec.deriv, co @ dec.deriv2, bd)
+    return GridFunction(dec.grid, co @ dec.values, co @ dec.deriv, co @ dec.deriv2)

@@ -157,8 +157,8 @@ def crank_nicolson(
 
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError("t must be nonnegative and finite")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != op.nodes.shape:
         raise ValueError("x0 shape does not match mesh")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from slspectra.core import (
-    BoundaryData,
     GridFunction,
     grid_function,
     inner_product_rho,
@@ -143,12 +142,6 @@ def test_quadratic_form_identity(model, cs_spec50, std_grid):
         f1.values + f2.values,
         deriv=f1.deriv + f2.deriv,
         deriv2=f1.deriv2 + f2.deriv2,
-        boundary=BoundaryData(
-            f1.boundary.value_a + f2.boundary.value_a,
-            f1.boundary.value_b + f2.boundary.value_b,
-            f1.boundary.deriv_a + f2.boundary.deriv_a,
-            f1.boundary.deriv_b + f2.boundary.deriv_b,
-        ),
     )
     lhs, rhs = quadratic_form_identity(prob, both)
     assert abs(lhs - rhs) <= 1e-8

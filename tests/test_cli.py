@@ -91,6 +91,22 @@ def test_schema_rejection_exits_1(tmp_path, capsys):
     assert main(["eigs", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"interval": [0, 1], "p": "1", "q": "0", "rho": "1", "bc_a": [math.nan, 1], "bc_b": [0, 1]},
+     {"preset": "dcr", "k0": math.nan},
+     {"preset": "dcr", "D": math.inf}],
+    ids=["bc-nan", "k0-nan", "D-inf"],
+)
+def test_non_finite_config_numbers_exit_1(doc, tmp_path, capsys):
+    # json reads NaN and Infinity, and the schema's "number" lets both through
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["eigs", str(cfg), "--modes", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err, err
+
+
 def test_config_schema_is_valid_and_rejections_name_the_cause(tmp_path, capsys):
     Draft202012Validator.check_schema(CONFIG_SCHEMA)
     cfg = tmp_path / "bad.json"
@@ -193,9 +209,10 @@ def test_simulate_bad_times_exits_1(dirichlet_config, capsys):
      ["simulate", "--x0", "z*(1-z)", "--times", "0.1,nan"],
      ["simulate", "--x0", "z*(1-z)", "--times", "0,inf"],
      ["simulate", "--x0", "z*(1-z)", "--times", "0.1", "--kappa", "nan"],
-     ["simulate", "--x0", "1/(z-z)", "--times", "0.1"]],
+     ["simulate", "--x0", "1/(z-z)", "--times", "0.1"],
+     ["observe", "--tol", "nan"]],
     ids=["eigs-modes-0", "alpha-0", "alpha-5", "modes-0", "oracle-cells-3", "oracle-dt-0",
-         "oracle-dt-inf", "times-nan", "times-inf", "kappa-nan", "x0-non-finite"],
+         "oracle-dt-inf", "times-nan", "times-inf", "kappa-nan", "x0-non-finite", "tol-nan"],
 )
 def test_bad_option_values_exit_1_with_a_message(argv, dirichlet_config, capsys):
     # a value the library rejects is an input error, reported without a traceback
@@ -265,6 +282,28 @@ def test_observe_synthetic_zero_exits_2(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] is False
     assert doc["offending_index"] == 2
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [({"values": [math.nan, 1.0]}, []),
+     ({"values": [0.5, 1.0], "z0": math.inf}, []),
+     ({"values": [0.5, 1.0], "alpha": math.nan}, []),
+     ({"values": [0.5, 1.0]}, ["--tol", "nan"]),
+     ({"values": [0.5, 1.0]}, ["--tol", "inf"]),
+     ({"values": [0.5, 1.0]}, ["--tol", "-1"]),
+     ({"values": [[0.5, 1.0], [0.2, 0.3]]}, []),
+     ({"values": 0.5}, []),
+     ([0.5, 1.0], [])],
+    ids=["values-nan", "z0-inf", "alpha-nan", "tol-nan", "tol-inf", "tol-negative",
+         "values-2d", "values-scalar", "not-an-object"],
+)
+def test_observe_synthetic_bad_input_exits_1(doc, flags, tmp_path, capsys):
+    syn = tmp_path / "syn.json"
+    syn.write_text(json.dumps(doc))
+    assert main(["observe", "--synthetic", str(syn), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:"), captured
 
 
 def test_verify_suites(tmp_path, capsys):

@@ -66,30 +66,32 @@ def test_inner_product_rejects_mismatched_grids():
         inner_product_rho(f1, f2, parse_coeff("1"))
 
 
-def test_boundary_values_exact_when_stored_and_accurate_when_extrapolated():
+def test_grid_ends_are_nodes_of_weight_zero():
+    for a, b, panels in [(0.0, 1.0, 64), (-3.0, 7.5, 16), (1e-3, 2e-3, 5)]:
+        g = make_grid(Interval(a, b), panels=panels)
+        assert (g.nodes[0], g.nodes[-1]) == (a, b)
+        assert (g.weights[0], g.weights[-1]) == (0.0, 0.0)
+        assert np.all(np.diff(g.nodes) > 0.0)
+    # composite Gauss stays exact through degree 15 on a dilated interval
+    a, b = -3.0, 7.5
+    g = make_grid(Interval(a, b))
+    coef = np.random.default_rng(3).uniform(-1.0, 1.0, size=16)
+    k = np.arange(1.0, 17.0)
+    vals = np.polynomial.polynomial.polyval((g.nodes - a) / (b - a), coef)
+    exact = (b - a) * float(np.sum(coef / k))
+    assert np.dot(vals, g.weights) == pytest.approx(exact, abs=1e-13)
+
+
+def test_boundary_values_read_the_end_nodes():
     g = make_grid(Interval(0.0, 1.0), panels=16)
     f = grid_function(g, np.exp, np.exp, np.exp)
-    assert boundary_values(f) == (1.0, math.e)
-    assert boundary_derivatives(f) == (1.0, math.e)
+    assert boundary_values(f) == (f.values[0], f.values[-1])
+    assert boundary_values(f) == pytest.approx((1.0, math.e), rel=1e-15)
+    assert boundary_derivatives(f) == (f.deriv[0], f.deriv[-1])
     bare = GridFunction(g, np.exp(g.nodes))
-    va, vb = boundary_values(bare)
-    assert va == pytest.approx(1.0, abs=1e-12)
-    assert vb == pytest.approx(math.e, abs=1e-12)
-
-
-def test_end_panel_extrapolation_matches_the_product_loop():
-    # reference: one barycentric weight per node, 1 / prod_{k != j} (x_j - x_k)
-    def extrapolate(xs, ys, x):
-        w = np.array([1.0 / np.prod(xs[j] - np.delete(xs, j)) for j in range(xs.size)])
-        return float(np.sum(w / (x - xs) * ys) / np.sum(w / (x - xs)))
-
-    for panels, (a, b) in [(4, (0.0, 1.0)), (16, (-3.0, 7.5)), (64, (0.0, 50.0)),
-                           (200, (1e-3, 2e-3))]:
-        g = make_grid(Interval(a, b), panels=panels)
-        v = np.cos(3.0 * g.nodes / (b - a))
-        n = g.points
-        want = (extrapolate(g.nodes[:n], v[:n], a), extrapolate(g.nodes[-n:], v[-n:], b))
-        assert boundary_values(GridFunction(g, v)) == want
+    assert boundary_values(bare) == boundary_values(f)
+    with pytest.raises(MissingDerivativeError):
+        boundary_derivatives(bare)
 
 
 def test_apply_operator_constant_coefficients():

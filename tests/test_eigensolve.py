@@ -141,22 +141,18 @@ def test_truncate(transformed_dec50):
 def test_mode_array_layout(transformed_dec50):
     dec = transformed_dec50
     rows = (dec.N, dec.grid.size)
-    for arr, shape in ((dec.values, rows), (dec.deriv, rows), (dec.deriv2, rows),
-                       (dec.boundary, (4, dec.N))):
-        assert arr.shape == shape
+    for arr in (dec.values, dec.deriv, dec.deriv2):
+        assert arr.shape == rows
         assert not arr.flags.writeable
     assert dec.values_matrix() is dec.values
     f = dec.eigenfunctions[7]
     for got, arr in ((f.values, dec.values), (f.deriv, dec.deriv), (f.deriv2, dec.deriv2)):
         assert np.shares_memory(got, arr[7]) and not np.shares_memory(got, arr[8])
         assert np.array_equal(got, arr[7])
-    bd = f.boundary
-    assert (bd.value_a, bd.value_b, bd.deriv_a, bd.deriv_b) == tuple(dec.boundary[:, 7])
     small = dec.truncate(20)
     for name in ("values", "deriv", "deriv2"):
         assert np.shares_memory(getattr(small, name), getattr(dec, name))
         assert np.array_equal(getattr(small, name), getattr(dec, name)[:20])
-    assert np.array_equal(small.boundary, dec.boundary[:, :20])
 
 
 def test_recovery_peak_memory(dirichlet_problem):
@@ -171,7 +167,7 @@ def test_recovery_peak_memory(dirichlet_problem):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = sum(a.nbytes for a in (dec.values, dec.deriv, dec.deriv2, dec.boundary))
+    rows = sum(a.nbytes for a in (dec.values, dec.deriv, dec.deriv2))
     assert peak <= 1.8 * rows, peak / rows
 
 

@@ -147,6 +147,9 @@ def test_crank_nicolson_singular_system_raises(dirichlet_problem):
 def test_crank_nicolson_rejects_non_finite_state(dirichlet_problem):
     op = assemble(dirichlet_problem, M=32)
     x0 = np.sin(math.pi * op.nodes)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be"):
+            crank_nicolson(op, x0, t, 1e-3)
     x0[5] = np.nan
     with pytest.raises(ValueError):
         crank_nicolson(op, x0, 0.01, 1e-3)
