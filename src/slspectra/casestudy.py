@@ -19,6 +19,9 @@ boundary-plus-gradient inner product
 equivalent to the full H^1 inner product with lower constant 1/8, and the
 point observations phi_{n,1/2}(0), phi_{n,1/2}(1) are nonzero for every n,
 which is the modal test for infinite-time approximate observability.
+observability_test reads these traces from a solved decomposition of any
+problem; boundary_trace_closed_form gives them in closed form for D = 1,
+the oracle the solver's traces are checked against.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from .core import (
     find_root,
     apply_operator,
     inner_product_rho,
-    make_grid,
 )
 from .expressions import parse_coeff
+from .fracspace import FractionalSpace
 
 __all__ = [
     "DCRModel",
@@ -372,41 +375,21 @@ def boundary_trace_closed_form(spec: CaseStudySpectrum, z0: float) -> np.ndarray
     raise ValueError("closed-form traces exist only at z0 = 0 or 1")
 
 
-def _direct_traces(spec: CaseStudySpectrum, z0: float, N: int) -> np.ndarray:
-    """phi_{n,1/2}(z0) = phi_n(z0) / s_n, read off the end nodes of phi_n
-    sampled on the default grid."""
-    grid = make_grid(Interval(0.0, 1.0))
-    end = 0 if z0 == 0.0 else 1
-    return np.array([
-        boundary_values(closed_form_eigenfunction(spec, n, grid))[end] / float(spec.s[n - 1])
-        for n in range(1, N + 1)
-    ])
-
-
 def observability_test(
-    spec: CaseStudySpectrum,
-    z0: float,
-    N: Optional[int] = None,
-    tol: float = DEFAULT_OBSERVABILITY_TOL,
+    fs: FractionalSpace, z0: float, tol: float = DEFAULT_OBSERVABILITY_TOL
 ) -> ObservabilityReport:
-    """Modal observability at a boundary point: every |phi_{n,1/2}(z0)| > tol.
+    """Modal observability at an end z0 of the interval: every |phi_{n,alpha}(z0)| > tol.
 
-    The traces are computed twice — closed forms and direct grid
-    evaluation — and must agree within 1e-8; disagreement flags a solver
-    bug rather than a verdict.
+    phi_{n,alpha}(z0) = (mu - lambda_n)^(-alpha) phi_n(z0), with phi_n(z0)
+    read from the end node of each mode row: the grid's first and last
+    nodes are a and b.
     """
-    if N is None:
-        N = spec.N
-    if not 1 <= N <= spec.N:
-        raise ValueError("N exceeds the solved spectrum")
-    closed = boundary_trace_closed_form(spec, float(z0))[:N]
-    direct = _direct_traces(spec, float(z0), N)
-    gap = float(np.max(np.abs(closed - direct)))
-    if gap > 1e-8:
-        raise RuntimeError(
-            f"closed-form and direct trace values disagree by {gap:.3e}"
-        )
-    return observability_from_values(np.abs(closed), float(z0), 0.5, tol)
+    iv = fs.dec.problem.interval
+    if z0 not in (iv.a, iv.b):
+        raise ValueError(f"z0 must be an end of the interval, {iv.a!r} or {iv.b!r}")
+    end = 0 if z0 == iv.a else -1
+    traces = fs.weights(-fs.alpha) * fs.dec.values[:, end]
+    return observability_from_values(traces, float(z0), fs.alpha, tol)
 
 
 def observability_from_values(

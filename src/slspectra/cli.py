@@ -38,7 +38,7 @@ from .core import (
 )
 from .expressions import parse_coeff
 from .eigensolve import ModalCoefficients, coefficients_of, solve_spectrum
-from .fracspace import fractional_space, scaling_identity_check
+from .fracspace import fractional_space, rescaled_basis, scaling_identity_check
 from .semigroup import (
     evolve,
     growth_bound,
@@ -51,6 +51,7 @@ from .oracle import assemble, crank_nicolson
 from .casestudy import (
     DEFAULT_OBSERVABILITY_TOL,
     DCRModel,
+    boundary_trace_closed_form,
     closed_form_eigenfunction,
     h1_inner_product,
     norm_equivalence,
@@ -210,15 +211,13 @@ def cmd_eigs(args, argv) -> int:
     V = dec.values
     W = prob.rho(dec.grid.nodes) * dec.grid.weights
     gram_err = float(np.max(np.abs((V * W) @ V.T - np.eye(N))))
-    fa, fb, dfa, dfb = dec.values[:, 0], dec.values[:, -1], dec.deriv[:, 0], dec.deriv[:, -1]
-    res_a = np.abs(prob.bc_a[0] * dfa + prob.bc_a[1] * fa)
-    res_b = np.abs(prob.bc_b[0] * dfb + prob.bc_b[1] * fb)
-    max_bc = float(max(res_a.max(), res_b.max()))
+    res = np.abs([bc_residual(prob, f) for f in dec.eigenfunctions])
+    max_bc = float(res.max())
     doc = dec.to_dict()
     doc["residuals"] = {
         "orthonormality": gram_err,
-        "bc_a": res_a.tolist(),
-        "bc_b": res_b.tolist(),
+        "bc_a": res[:, 0].tolist(),
+        "bc_b": res[:, 1].tolist(),
     }
     if model is not None:
         spec = solve_case_study(model, N) if model.D == 1.0 else None
@@ -292,9 +291,10 @@ def cmd_simulate(args, argv) -> int:
         if max(discrepancies) > tolerances["oracle_l2"]:
             code = EXIT_TOLERANCE
 
-    _emit(_dump_json(doc), args.out)
+    # the CSV goes first, so that a failed write leaves no output at all
     if args.csv:
         trajectory_to_csv(traj, args.csv)
+    _emit(_dump_json(doc), args.out)
     _write_manifest(args.out, argv, config_text, None, tolerances, t0)
     return code
 
@@ -316,10 +316,10 @@ def cmd_observe(args, argv) -> int:
         config_text = None
     else:
         prob, model, config_text = load_config(args.config)
-        if model is None:
-            raise InputError("observe requires the dcr preset (or --synthetic)")
-        spec = solve_case_study(model, args.modes)
-        report = observability_test(spec, args.z0, N=args.modes, tol=args.tol)
+        dec = solve_spectrum(prob, N=args.modes)
+        # the dcr preset keeps the case study's mu = 0
+        fs = fractional_space(dec, 0.5, mu=0.0 if model is not None else None)
+        report = observability_test(fs, args.z0, tol=args.tol)
     _emit(_dump_json(report.to_dict()), args.out)
     _write_manifest(args.out, argv, config_text, None, {"trace_tol": args.tol}, t0)
     return EXIT_OK if report.verdict else EXIT_TOLERANCE
@@ -416,9 +416,10 @@ def _suite_casestudy(seed: int):
         phi = closed_form_eigenfunction(spec, n, grid)
         nrm_err = max(nrm_err, abs(math.sqrt(float(np.dot(phi.values ** 2, grid.weights))) - 1.0))
     checks.append(("kn_normalization_1e-8", nrm_err <= 1e-8, nrm_err))
-    half = [closed_form_eigenfunction(spec, n, grid).scaled(1.0 / float(spec.s[n - 1]))
-            for n in range(1, 21)]
-    G = np.array([[h1_inner_product(half[i], half[j]) for j in range(20)] for i in range(20)])
+    # the solver's rescaled basis (mu = 0), checked against the closed forms
+    fs = fractional_space(solve_spectrum(transformed_problem(model), N=20), 0.5, mu=0.0)
+    half = rescaled_basis(fs)
+    G = np.array([[h1_inner_product(f, g) for g in half] for f in half])
     gerr = float(np.max(np.abs(G - np.eye(20))))
     checks.append(("h1_gram_identity_1e-6", gerr <= 1e-6, gerr))
     corpus = trig_corpus(grid, 1000, seed=seed)
@@ -431,8 +432,10 @@ def _suite_casestudy(seed: int):
     rep = norm_equivalence(corpus, seed=seed)
     checks.append(("equivalence_min_1_8", rep.min_ratio >= 0.125 - 1e-10, rep.min_ratio))
     for z0 in (0.0, 1.0):
-        r = observability_test(spec, z0)
+        r = observability_test(fs, z0)
         checks.append((f"observability_z0_{int(z0)}", r.verdict, r.minimum))
+        gap = float(np.max(np.abs(r.values - np.abs(boundary_trace_closed_form(spec, z0)))))
+        checks.append((f"trace_vs_closed_z0_{int(z0)}_1e-8", gap <= 1e-8, gap))
     return checks
 
 
@@ -496,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write the modal trajectory CSV here")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("observe", help="boundary observability report (dcr preset)")
+    p = sub.add_parser("observe", help="boundary observability report at z0 = a or b")
     p.add_argument("config", nargs="?", default=None)
     p.add_argument("--z0", type=float, default=0.0)
     p.add_argument("--modes", type=int, default=50)
@@ -527,8 +530,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "observe" and args.config is None and args.synthetic is None:
             raise InputError("observe needs a config file or --synthetic")
         return args.fn(args, argv)
-    except (InputError, ValueError) as exc:
-        # ValueError: a value the library rejects (an option, a config entry)
+    except (InputError, ValueError, OSError) as exc:
+        # ValueError: a value the library rejects (an option, a config entry);
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,6 +12,7 @@ from slspectra.core import (
 )
 from slspectra.casestudy import (
     DCRModel,
+    boundary_trace_closed_form,
     characteristic,
     closed_form_eigenfunction,
     dcr_sl_problem,
@@ -27,6 +28,8 @@ from slspectra.casestudy import (
     transformed_problem,
     trig_corpus,
 )
+from slspectra.fracspace import fractional_space
+from slspectra.oracle import assemble, fd_eigs
 
 S1 = 0.9601888739147829  # first characteristic root, frozen from bisection
 
@@ -193,9 +196,11 @@ def test_norm_equivalence_rejects_empty():
         norm_equivalence([])
 
 
-def test_observability_both_boundaries(cs_spec50):
-    r0 = observability_test(cs_spec50, 0.0, N=50)
-    r1 = observability_test(cs_spec50, 1.0, N=50)
+def test_observability_both_boundaries(transformed_dec50, cs_spec50):
+    # the solver's traces at mu = 0, against the closed forms
+    fs = fractional_space(transformed_dec50, 0.5, mu=0.0)
+    r0 = observability_test(fs, 0.0)
+    r1 = observability_test(fs, 1.0)
     assert r0.verdict and r1.verdict
     assert np.all(r0.values > 0.0) and np.all(r1.values > 0.0)
     # z0 = 0 traces decay monotonically; the minimum is the last mode
@@ -204,6 +209,32 @@ def test_observability_both_boundaries(cs_spec50):
     assert r0.minimum == pytest.approx(
         2.0 * math.sqrt(2.0) / math.sqrt(4.0 * s50 * s50 + 5.0), rel=1e-12
     )
+    for r in (r0, r1):
+        closed = np.abs(boundary_trace_closed_form(cs_spec50, r.z0))
+        assert np.max(np.abs(r.values - closed)) <= 1e-12
+
+
+def test_observability_neumann_traces(neumann_dec):
+    # mu = gamma + 1 = 1: phi_1 = 1, phi_n(0) = sqrt(2) and lambda_n = -((n-1) pi)^2
+    r = observability_test(fractional_space(neumann_dec, 0.5), 0.0)
+    m = np.arange(neumann_dec.N) * math.pi
+    exact = np.where(m == 0.0, 1.0, math.sqrt(2.0)) / np.sqrt(1.0 + m * m)
+    assert np.max(np.abs(r.values - exact)) <= 1e-14
+
+
+def test_observability_weighted_dcr_against_fd(model, weighted_dec):
+    # variable coefficients: the FD oracle keeps its Robin and Neumann end
+    # nodes, so its vector end entries are O(h^2) traces
+    fs = fractional_space(weighted_dec, 0.5)
+    traces = [observability_test(fs, z0).values for z0 in (0.0, 1.0)]
+    gaps = []
+    for M in (1000, 2000):
+        lam, vecs = fd_eigs(assemble(dcr_sl_problem(model), M), weighted_dec.N)
+        fd = np.abs((fs.mu - lam) ** -fs.alpha * vecs[:, [0, -1]].T)
+        gaps.append([float(np.max(np.abs(t - f))) for t, f in zip(traces, fd)])
+    gaps = np.array(gaps)
+    assert np.all(gaps[1] <= 1e-6), gaps
+    assert np.all(gaps[0] / gaps[1] > 3.5), gaps
 
 
 def test_observability_forced_zero():
@@ -214,11 +245,9 @@ def test_observability_forced_zero():
     assert report.minimum == 0.0
 
 
-def test_observability_interior_point_rejected(cs_spec50):
+def test_observability_interior_point_rejected(transformed_dec50):
     with pytest.raises(ValueError):
-        observability_test(cs_spec50, 0.5)
-    with pytest.raises(ValueError):
-        observability_test(cs_spec50, 0.0, N=51)
+        observability_test(fractional_space(transformed_dec50, 0.5, mu=0.0), 0.5)
 
 
 def test_eigenrelation_through_weighted_coefficients(model, weighted_dec, std_grid):

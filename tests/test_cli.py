@@ -210,9 +210,11 @@ def test_simulate_bad_times_exits_1(dirichlet_config, capsys):
      ["simulate", "--x0", "z*(1-z)", "--times", "0,inf"],
      ["simulate", "--x0", "z*(1-z)", "--times", "0.1", "--kappa", "nan"],
      ["simulate", "--x0", "1/(z-z)", "--times", "0.1"],
-     ["observe", "--tol", "nan"]],
+     ["observe", "--tol", "nan"],
+     ["observe", "--z0", "0.5"]],
     ids=["eigs-modes-0", "alpha-0", "alpha-5", "modes-0", "oracle-cells-3", "oracle-dt-0",
-         "oracle-dt-inf", "times-nan", "times-inf", "kappa-nan", "x0-non-finite", "tol-nan"],
+         "oracle-dt-inf", "times-nan", "times-inf", "kappa-nan", "x0-non-finite", "tol-nan",
+         "z0-interior"],
 )
 def test_bad_option_values_exit_1_with_a_message(argv, dirichlet_config, capsys):
     # a value the library rejects is an input error, reported without a traceback
@@ -259,9 +261,7 @@ def test_observe_verdicts(dcr_config, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc, flags",
-    [({"preset": "dcr", "D": 2.0}, []), ({"preset": "dcr"}, ["--z0", "0.5"])],
-    ids=["D-2", "z0-interior"],
+    "doc, flags", [({"preset": "dcr"}, ["--z0", "0.5"])], ids=["z0-interior"]
 )
 def test_observe_outside_the_closed_form_exits_1(doc, flags, tmp_path, capsys):
     cfg = tmp_path / "dcr.json"
@@ -271,8 +271,41 @@ def test_observe_outside_the_closed_form_exits_1(doc, flags, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
-def test_observe_requires_dcr(dirichlet_config, capsys):
-    assert main(["observe", dirichlet_config]) == 1
+@pytest.mark.parametrize(
+    "doc, code",
+    [({"preset": "dirichlet"}, 2), ({"preset": "neumann"}, 0), ({"preset": "dcr", "D": 2.0}, 0)],
+    ids=["dirichlet", "neumann", "dcr-D-2"],
+)
+def test_observe_runs_on_any_config(doc, code, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = str(tmp_path / "obs.json")
+    for z0 in ("0", "1"):
+        assert main(["observe", str(cfg), "--z0", z0, "--modes", "20", "--out", out]) == code
+        with open(out) as fh:
+            report = json.load(fh)
+        assert report["verdict"] is (code == 0)
+        if code == 2:
+            # phi_n vanishes at a Dirichlet end, so every trace is round-off
+            assert max(report["values"]) <= 1e-12
+            assert 1 <= report["offending_index"] <= 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eigs", "--modes", "2", "--out", "{missing}/x.json"],
+     ["simulate", "--x0", "z*(1-z)", "--times", "0.1", "--modes", "3",
+      "--csv", "{missing}/x.csv"]],
+    ids=["eigs-out", "simulate-csv"],
+)
+def test_unwritable_output_exits_1_with_no_output(argv, dirichlet_config, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    argv = [a.format(missing=missing) for a in argv]
+    assert main([argv[0], dirichlet_config, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "", captured.out
+    err = captured.err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_observe_synthetic_zero_exits_2(tmp_path, capsys):
