@@ -65,6 +65,7 @@ __all__ = [
     "norm_equivalence",
     "trig_corpus",
     "observability_test",
+    "check_observation",
     "observability_from_values",
     "boundary_trace_closed_form",
 ]
@@ -384,12 +385,26 @@ def observability_test(
     read from the end node of each mode row: the grid's first and last
     nodes are a and b.
     """
-    iv = fs.dec.problem.interval
-    if z0 not in (iv.a, iv.b):
-        raise ValueError(f"z0 must be an end of the interval, {iv.a!r} or {iv.b!r}")
-    end = 0 if z0 == iv.a else -1
+    end = check_observation(fs.dec.problem.interval, z0, tol)
     traces = fs.weights(-fs.alpha) * fs.dec.values[:, end]
     return observability_from_values(traces, float(z0), fs.alpha, tol)
+
+
+def check_observation(interval: Interval, z0: float, tol: float) -> int:
+    """Check observability_test's z0 and tol without a decomposition.
+
+    Raises ValueError unless z0 is an end of the interval and tol is finite
+    and >= 0.  Returns the index of z0's node in a mode row: 0 at a, -1 at b.
+    """
+    if z0 not in (interval.a, interval.b):
+        raise ValueError(f"z0 must be an end of the interval, {interval.a!r} or {interval.b!r}")
+    _check_tol(tol)
+    return 0 if z0 == interval.a else -1
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
 
 
 def observability_from_values(
@@ -401,8 +416,7 @@ def observability_from_values(
         raise ValueError("trace values must be a nonempty vector")
     if not (np.all(np.isfinite(values)) and math.isfinite(z0) and math.isfinite(alpha)):
         raise ValueError("trace values, z0 and alpha must be finite")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 0")
+    _check_tol(tol)
     imin = int(np.argmin(values))
     minimum = float(values[imin])
     verdict = minimum > tol

@@ -52,6 +52,7 @@ from .casestudy import (
     DEFAULT_OBSERVABILITY_TOL,
     DCRModel,
     boundary_trace_closed_form,
+    check_observation,
     closed_form_eigenfunction,
     h1_inner_product,
     norm_equivalence,
@@ -308,7 +309,7 @@ def cmd_observe(args, argv) -> int:
             with open(args.synthetic) as fh:
                 doc_in = json.load(fh)
             values = np.asarray(doc_in["values"], dtype=np.float64)
-            z0 = float(doc_in.get("z0", args.z0))
+            z0 = float(doc_in.get("z0", 0.0 if args.z0 is None else args.z0))
             alpha = float(doc_in.get("alpha", 0.5))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad synthetic report input: {exc}")
@@ -316,10 +317,12 @@ def cmd_observe(args, argv) -> int:
         config_text = None
     else:
         prob, model, config_text = load_config(args.config)
+        z0 = prob.interval.a if args.z0 is None else args.z0
+        check_observation(prob.interval, z0, args.tol)  # before the solve
         dec = solve_spectrum(prob, N=args.modes)
         # the dcr preset keeps the case study's mu = 0
         fs = fractional_space(dec, 0.5, mu=0.0 if model is not None else None)
-        report = observability_test(fs, args.z0, tol=args.tol)
+        report = observability_test(fs, z0, tol=args.tol)
     _emit(_dump_json(report.to_dict()), args.out)
     _write_manifest(args.out, argv, config_text, None, {"trace_tol": args.tol}, t0)
     return EXIT_OK if report.verdict else EXIT_TOLERANCE
@@ -501,7 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("observe", help="boundary observability report at z0 = a or b")
     p.add_argument("config", nargs="?", default=None)
-    p.add_argument("--z0", type=float, default=0.0)
+    p.add_argument("--z0", type=float, default=None,
+                   help="the end observed: a or b of the interval (default a; "
+                        "with --synthetic, the file's z0, else 0)")
     p.add_argument("--modes", type=int, default=50)
     p.add_argument("--tol", type=float, default=DEFAULT_OBSERVABILITY_TOL)
     p.add_argument("--synthetic", default=None,

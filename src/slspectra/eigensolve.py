@@ -33,15 +33,21 @@ the points just outside them (Alefeld, Potra & Shi, ACM TOMS 748, 1995).
 The phase ODE is integrated with the adaptive Dormand-Prince 8(5,3) pair
 DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10), which at rtol
 1e-12 takes a third to a quarter of the steps of a 5(4) pair.  The step is
-shared by the batch of eigenvalue candidates, each stage sum is one dot
-product of a tableau row with the stacked stages, and a step's last stage is
-the next step's first.  Eigenfunctions on the grid come from the DOP853
-continuous extension (HNW II.6, contd8, 7th order): the steps run from a to
-b as the controller chooses, at most DENSE_MAX_STEP long, and the nodes
-inside each accepted step are filled from its stages and three more RHS
-calls.  The grid's first and last nodes are a and b, so the boundary values
-come out as the first and last entries of each mode row.  The eigenvalue
-search never asks for dense output.
+shared by the batch of eigenvalue candidates.  Both forms read
+theta' = W + G T1(2 theta) and (log amplitude)' = C + D T2(2 theta) with
+W, G, C, D depending on z and L alone (plain: T1 = cos, T2 = sin; scaled:
+T1 = sin, T2 = cos).  So each step attempt evaluates p, q, rho (and their
+derivatives) once per stage node, tabulates W, G, C, D at its twelve nodes
+for the whole batch, and then costs per stage one stage sum (a dot product
+of a tableau row with the stacked stages), one trig call per component and
+a multiply-add with the table rows.  A step's last stage is the next step's
+first.  Eigenfunctions on the grid come from the DOP853 continuous
+extension (HNW II.6, contd8, 7th order): the steps run from a to b as the
+controller chooses, at most DENSE_MAX_STEP long, and the nodes inside each
+accepted step are filled from its stages and three more, tabulated only for
+steps that hold nodes.  The grid's first and last nodes are a and b, so the
+boundary values come out as the first and last entries of each mode row.
+The eigenvalue search never asks for dense output.
 
 The solver works in units-free variables (Pryce 1993, ch. 5): with
 ell = b - a, P = p(a) and R = rho(a) it solves for s = (z - a)/ell, p/P,
@@ -243,7 +249,6 @@ _D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
         -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3,
     ],
 ]
-_C_STEP = tuple(_C.tolist())  # the stage nodes as Python floats, for the RHS calls
 _E = np.vstack([_E5, _E3])
 
 # Dense-output (z_out) integrations take steps of at most this length.  On
@@ -261,6 +266,25 @@ def _contd8(theta, y, ynew, h, K):
     t1 = 1.0 - t
     inner = f3 + t * (f4 + t1 * (f5 + t * f6))
     return y + t * (dy + t1 * (h * K[0] - dy + t * (2.0 * dy - h * (K[12] + K[0]) + t1 * inner)))
+
+
+def _tables(rhs, zs, lams, ncomp):
+    """(base, slope), each (len(zs), ncomp, n): the first ncomp of [W, C] and
+    [G, D] of rhs at the points zs (an array) for each lambda.  rhs.tables
+    gets the points as Python floats, the scalar evaluator's input."""
+    W, G, C, D = rhs.tables(zs.tolist(), lams)
+    if ncomp == 1:
+        return W[:, None], G[:, None]
+    return np.stack((W, C), 1), np.stack((G, D), 1)
+
+
+def _slope(k, th2, base, slope, trig):
+    """The Pruefer right-hand side at one stage, written into k (ncomp, n):
+    k[c] = base[c] + slope[c] trig[c](th2), where th2 is twice the angle."""
+    for c, t in enumerate(trig):
+        t(th2, out=k[c])
+    k *= slope
+    k += base
 
 
 def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
@@ -282,6 +306,7 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
     y[0] = theta0
     atol = 1e-12
     max_step = rhs.max_step
+    trig = rhs.trig[:ncomp]
 
     out = None
     if z_out is not None:
@@ -302,23 +327,35 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
         max_step = min(max_step, DENSE_MAX_STEP)
         i_out = 0
 
+    def stage(s, A2h, base, slope):
+        """K[s] from its stage sum.  The slopes need 2 theta only, and
+        y2 + (the sum with 2h A) equals 2 (y + the sum with h A) to the last
+        bit, as doubling is exact.  The sum runs over all components and keeps
+        theta's: summing theta's rows alone changes the order of additions."""
+        th2 = np.dot(A2h[s, :s], prefix[s])[:n]
+        th2 += y2
+        _slope(K[s], th2, base, slope, trig)
+
     dz = rhs.initial_step(lams, z1 - z0)
     K = np.empty((16,) + shape)
     rows = K.reshape(16, -1)  # the stages as rows of one array, for the stage sums
-
-    def stage(s, z, h, Ah):
-        K[s] = rhs(z + _C_STEP[s] * h, y + np.dot(Ah[s, :s], rows[:s]).reshape(shape), lams, ncomp)
+    prefix = [rows[:s] for s in range(16)]  # what stage s sums over
 
     z = z0
-    K[0] = rhs(z, y, lams, ncomp)
+    y2 = 2.0 * y[0]
+    base, slope = _tables(rhs, np.array([z0]), lams, ncomp)
+    _slope(K[0], y2, base[0], slope[0], trig)
     while z < z1 - 1e-15 * max(1.0, abs(z1)):
         h = min(dz, max_step, z1 - z)
         while True:
-            Ah = h * _A
+            A2h = (2.0 * h) * _A
+            # the coefficients at stages 1-12, z + c h (c = 1 at stage 12)
+            base, slope = _tables(rhs, z + _C[1:13] * h, lams, ncomp)
             for s in range(1, 12):
-                stage(s, z, h, Ah)
-            ynew = y + np.dot(Ah[12, :12], rows[:12]).reshape(shape)
-            K[12] = rhs(z + h, ynew, lams, ncomp)
+                stage(s, A2h, base[s - 1], slope[s - 1])
+            ynew = y + np.dot(h * _B, rows[:12]).reshape(shape)
+            y2new = 2.0 * ynew[0]
+            _slope(K[12], y2new, base[11], slope[11], trig)
             # the dop853 estimate h err5^2 / sqrt(err5^2 + err3^2 / 100), per component
             scale = atol + rtol * np.maximum(np.abs(ynew), np.abs(y)).reshape(-1)
             e5, e3 = np.square(np.dot(_E, rows[:13]) / scale)
@@ -338,13 +375,14 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
             # outputs in [z, z + h): theta = 0 gives y exactly
             i_end = int(np.searchsorted(z_out, z + h, side="left"))
             if i_end > i_out:
+                base, slope = _tables(rhs, z + _C[13:] * h, lams, ncomp)
                 for s in range(13, 16):
-                    stage(s, z, h, Ah)
+                    stage(s, A2h, base[s - 13], slope[s - 13])
                 theta = (z_out[i_out:i_end] - z) / h
                 out[i_out:i_end] = _contd8(theta, y, ynew, h, K)
                 i_out = i_end
         z += h
-        y = ynew
+        y, y2 = ynew, y2new
         K[0] = K[12]
         dz = h * (min(6.0, 0.9 * emax ** -0.125) if emax > 0.0 else 6.0)
     if out is None:
@@ -389,17 +427,24 @@ class _UnitMap:
     def scalar(self, n: int):
         """One call s -> the first n of p^, q^, rho^, p^', q^', rho^' at a scalar s."""
         fn = compile_scalar(*self.exprs[:n])
-        if self.identity:  # every factor is 1.0: skip the wrapper's cost per RHS call
+        if self.identity:  # every factor is 1.0: skip the wrapper's cost per call
             return fn
         a, ell, k = self.a, self.ell, self.factors[:n]
         return lambda s: tuple(map(mul, k, fn(a + ell * s)))
 
 
 class _PlainRHS:
+    """theta' = W + G cos 2theta and (log r)' = C + D sin 2theta, tabulated.
+
+    cos^2/p + u sin^2 = (1/p + u)/2 + (1/p - u)/2 cos 2theta with u = L rho - q,
+    so W = hp + hu, G = D = hp - hu and C = 0 (hp = 1/(2p), hu = u/2).
+    """
+
     form = "plain"
     # On longer steps the error estimate fails: with a cap of 1/4 a plain
     # lambda_1 landed 2.8e-11 off, and uncapped the transformed DCR's 4.8e-11.
     max_step = 0.125
+    trig = (np.cos, np.sin)
 
     def __init__(self, unit: _UnitMap):
         self.unit = unit
@@ -413,24 +458,24 @@ class _PlainRHS:
         """S in f = r sin(theta) / S: here S = 1."""
         return np.ones(np.broadcast(lams, rho).shape)
 
-    def __call__(self, z, y, lams, ncomp):
-        pz, qz, rz = self.coeffs(z)
-        # cos^2/p + u sin^2 = (1/p + u)/2 + (1/p - u)/2 cos 2theta, u = L rho - q
+    def tables(self, zs, lams):
+        """W, G, C, D (len(zs), n) at the points zs (a list of floats) for each lambda."""
+        pz, qz, rz = np.array([self.coeffs(z) for z in zs]).T[:, :, None]
         hp, hu = 0.5 / pz, lams * (0.5 * rz) - 0.5 * qz
-        th2 = 2.0 * y[0]
-        dtheta = (hp + hu) + (hp - hu) * np.cos(th2)
-        if ncomp == 1:
-            return dtheta
-        out = np.empty_like(y)
-        out[0], out[1] = dtheta, (hp - hu) * np.sin(th2)
-        return out
+        g = hp - hu
+        return hp + hu, g, np.zeros_like(g), g
 
 
 class _ScaledRHS:
-    """Valid only where L rho - q > 0 for every batch member."""
+    """theta' = W + G sin 2theta and (log w)' = C + D cos 2theta, tabulated.
+
+    W = omega and G = C = -D = g = S'/(2S) = p'/(4p) + (L rho' - q')/(4u),
+    with u = L rho - q.  Valid only where u > 0 for every batch member.
+    """
 
     form = "scaled"
     max_step = math.inf  # a cap costs time here and gains nothing
+    trig = (np.sin, np.cos)
 
     def __init__(self, unit: _UnitMap):
         self.unit = unit
@@ -443,19 +488,12 @@ class _ScaledRHS:
         """S in f = w sin(theta) / S: here S = sqrt(p (L rho - q))."""
         return np.sqrt(p * (lams * rho - q))
 
-    def __call__(self, z, y, lams, ncomp):
-        pz, qz, rz, dpz, dqz, drz = self.coeffs(z)
+    def tables(self, zs, lams):
+        """W, G, C, D (len(zs), n) at the points zs (a list of floats) for each lambda."""
+        pz, qz, rz, dpz, dqz, drz = np.array([self.coeffs(z) for z in zs]).T[:, :, None]
         u = lams * rz - qz  # > 0 by mode selection
-        omega = np.sqrt(u / pz)
-        # g = S'/S / 2 = p'/(4p) + (L rho' - q')/(4u): theta' = omega + g sin 2theta
         g = (lams * (0.25 * drz) - 0.25 * dqz) / u + 0.25 * dpz / pz
-        th2 = 2.0 * y[0]
-        dtheta = omega + g * np.sin(th2)
-        if ncomp == 1:
-            return dtheta
-        out = np.empty_like(y)
-        out[0], out[1] = dtheta, g - g * np.cos(th2)
-        return out
+        return np.sqrt(u / pz), g, g, -g
 
 
 # ---------------------------------------------------------------------------

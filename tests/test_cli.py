@@ -272,6 +272,36 @@ def test_observe_outside_the_closed_form_exits_1(doc, flags, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [(["--z0", "0.5"], "error: z0 must be an end of the interval, 0.0 or 1.0\n"),
+     (["--tol", "nan"], "error: tol must be finite and >= 0\n")],
+    ids=["z0-interior", "tol-nan"],
+)
+def test_observe_checks_options_before_solving(flags, message, dirichlet_config, monkeypatch,
+                                               capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("observe solved before checking its options")
+
+    monkeypatch.setattr(cli, "solve_spectrum", no_solve)
+    assert main(["observe", dirichlet_config, *flags, "--modes", "400"]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_observe_z0_defaults_to_the_left_end(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"interval": [2.0, 5.0], "p": "1", "q": "0", "rho": "1",
+                               "bc_a": [1.0, 0.0], "bc_b": [1.0, 0.0]}))
+    for flags, z0 in (([], 2.0), (["--z0", "5"], 5.0)):
+        assert main(["observe", str(cfg), *flags, "--modes", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["z0"] == z0
+    # a synthetic file without z0 still reports z0 = 0
+    syn = tmp_path / "syn.json"
+    syn.write_text(json.dumps({"values": [0.5, 0.3]}))
+    assert main(["observe", "--synthetic", str(syn)]) == 0
+    assert json.loads(capsys.readouterr().out)["z0"] == 0.0
+
+
+@pytest.mark.parametrize(
     "doc, code",
     [({"preset": "dirichlet"}, 2), ({"preset": "neumann"}, 0), ({"preset": "dcr", "D": 2.0}, 0)],
     ids=["dirichlet", "neumann", "dcr-D-2"],

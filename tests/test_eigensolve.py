@@ -206,22 +206,20 @@ def test_invalid_inputs(dirichlet_problem):
 
 
 def _count_work(mp):
-    """Counts `_integrate` calls and Pruefer RHS evaluations while mp is active."""
+    """Counts `_integrate` calls and Pruefer RHS evaluations (stages) while mp is active."""
     counts = {"integrate": 0, "rhs": 0}
-    integrate = eigensolve._integrate
+    integrate, slope = eigensolve._integrate, eigensolve._slope
 
     def counting_integrate(*args, **kwargs):
         counts["integrate"] += 1
         return integrate(*args, **kwargs)
 
+    def counting_slope(*args):
+        counts["rhs"] += 1
+        return slope(*args)
+
     mp.setattr(eigensolve, "_integrate", counting_integrate)
-    for cls in (eigensolve._PlainRHS, eigensolve._ScaledRHS):
-
-        def counting_call(self, *args, _call=cls.__call__):
-            counts["rhs"] += 1
-            return _call(self, *args)
-
-        mp.setattr(cls, "__call__", counting_call)
+    mp.setattr(eigensolve, "_slope", counting_slope)
     return counts
 
 
@@ -244,6 +242,8 @@ def anchor_counts(model):
         for name, (prob, N) in anchors.items():
             counts.update(integrate=0, rhs=0)
             solve_spectrum(prob, N=N)
+            # a counter that no longer sees the work would pass every bound below
+            assert counts["integrate"] > 0 and counts["rhs"] > 0, (name, counts)
             out[name] = dict(counts)
     return out
 
@@ -438,12 +438,15 @@ def test_round_cap_error_in_caller_units(monkeypatch):
 
 def test_step_underflow_in_caller_units(monkeypatch):
     # the first integration is the scan edge lambda^ = -1, i.e. lambda = -1/2500
-    plain = eigensolve._PlainRHS.__call__
+    plain = eigensolve._PlainRHS.tables
 
-    def nan_past(self, s, y, lams, ncomp):
-        return plain(self, s, y, lams, ncomp) if s <= 0.4 else np.full_like(y, math.nan)
+    def nan_past(self, zs, lams):
+        tables = plain(self, zs, lams)
+        for t in tables:
+            t[np.array(zs) > 0.4] = math.nan
+        return tables
 
-    monkeypatch.setattr(eigensolve._PlainRHS, "__call__", nan_past)
+    monkeypatch.setattr(eigensolve._PlainRHS, "tables", nan_past)
     prob = SLProblem.from_strings(0.0, 50.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
     with pytest.raises(RuntimeError) as info:
         solve_spectrum(prob, N=3)
@@ -602,22 +605,32 @@ class _CosRHS:
     """theta' = cos z + 0.5: theta(b) = theta(a) + sin b - sin a + (b - a) / 2."""
 
     max_step = math.inf
+    trig = (np.cos, np.sin)
 
     def initial_step(self, lams, span):
         return 0.01
 
-    def __call__(self, z, y, lams, ncomp):
-        return np.full_like(y, math.cos(z) + 0.5)
+    def tables(self, zs, lams):
+        W = np.add.outer(np.cos(zs) + 0.5, np.zeros_like(lams))
+        return W, 0.0 * W, 0.0 * W, 0.0 * W
 
     def exact(self, a, b, theta0):
         return theta0 + math.sin(b) - math.sin(a) + 0.5 * (b - a)
 
 
-class _LinearRHS(_CosRHS):
-    """theta' = theta cos z, so the stage arguments matter too."""
+def _half(th2, out):
+    return np.multiply(th2, 0.5, out=out)
 
-    def __call__(self, z, y, lams, ncomp):
-        return y * math.cos(z)
+
+class _LinearRHS(_CosRHS):
+    """theta' = theta cos z, so the stage arguments matter too: W = 0,
+    G = cos z and T1(2 theta) = theta."""
+
+    trig = (_half, _half)
+
+    def tables(self, zs, lams):
+        G = np.add.outer(np.cos(zs), np.zeros_like(lams))
+        return 0.0 * G, G, 0.0 * G, G
 
     def exact(self, a, b, theta0):
         return theta0 * math.exp(math.sin(b) - math.sin(a))
@@ -676,6 +689,42 @@ def test_dense_output_matches_scipy_interpolant():
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def _pointwise_rhs(rhs, z, theta, lams):
+    """theta' and the amplitude's log-derivative at one point, by the Pruefer
+    formulas in double angles (the module docstring), one lambda per column."""
+    th2 = 2.0 * theta
+    if rhs.form == "plain":
+        pz, qz, rz = rhs.coeffs(z)
+        hp, hu = 0.5 / pz, lams * (0.5 * rz) - 0.5 * qz
+        return (hp + hu) + (hp - hu) * np.cos(th2), (hp - hu) * np.sin(th2)
+    pz, qz, rz, dpz, dqz, drz = rhs.coeffs(z)
+    u = lams * rz - qz
+    g = (lams * (0.25 * drz) - 0.25 * dqz) / u + 0.25 * dpz / pz
+    return np.sqrt(u / pz) + g * np.sin(th2), g - g * np.cos(th2)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("form", ["plain", "scaled"])
+def test_stage_tables_match_pointwise_formulas(form, ncomp):
+    # a dilated, reweighted problem, so the unit map's factors are not all 1
+    prob = SLProblem.from_strings(0.5, 2.5, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5))
+    sh = eigensolve._Shooter(prob, make_grid(prob.interval))
+    rhs = sh.plain if form == "plain" else sh.scaled
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(0.0, 1.0, 12)
+    lo = sh.lam_star if form == "scaled" else -50.0
+    lams = lo + rng.uniform(0.0, 1e3, 7)
+    base, slope = eigensolve._tables(rhs, zs, lams, ncomp)
+    assert base.shape == slope.shape == (12, ncomp, 7)
+    for i, z in enumerate(zs.tolist()):
+        theta = rng.uniform(-10.0, 10.0, lams.size)
+        k = np.empty((ncomp, lams.size))
+        eigensolve._slope(k, 2.0 * theta, base[i], slope[i], rhs.trig[:ncomp])
+        want = _pointwise_rhs(rhs, z, theta, lams)[:ncomp]
+        for c in range(ncomp):
+            assert np.array_equal(k[c], want[c]), (form, ncomp, i, c)
+
+
 @pytest.mark.parametrize(
     "z_out, match",
     [([0.5, 0.2, 3.0], "0.2 follows 0.5"), ([0.5, 3.5], "3.5 is outside"),
@@ -693,8 +742,9 @@ class _NaNRHS(eigensolve._PlainRHS):
         unit = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 1.0), (0.0, 1.0))
         super().__init__(eigensolve._UnitMap(unit))
 
-    def __call__(self, z, y, lams, ncomp):
-        return np.full_like(y, 1.0 if z <= 1.0 else math.nan)
+    def tables(self, zs, lams):
+        W = np.add.outer(np.where(np.array(zs) <= 1.0, 1.0, math.nan), np.zeros_like(lams))
+        return W, 0.0 * W, W, 0.0 * W
 
 
 def test_step_underflow_names_where():
