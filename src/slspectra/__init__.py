@@ -21,8 +21,8 @@ from .core import (
     boundary_derivatives,
     boundary_values,
     find_root,
+    form_inner_product,
     grid_function,
-    gridfunction_to_csv,
     inner_product_rho,
     integrate,
     make_grid,
@@ -58,7 +58,6 @@ from .semigroup import (
     is_exponentially_stable,
     trajectory,
     trajectory_to_csv,
-    trajectory_to_json,
 )
 from .oracle import FDOperator, assemble, crank_nicolson, fd_eigs, fd_eigs_extrapolated
 from .casestudy import (
@@ -68,13 +67,10 @@ from .casestudy import (
     ObservabilityReport,
     closed_form_eigenfunction,
     dcr_sl_problem,
-    h1_full_inner_product,
-    h1_inner_product,
     norm_equivalence,
     observability_from_values,
     observability_test,
     poincare_check,
-    quadratic_form_identity,
     solve_case_study,
     transform_state,
     transformed_problem,

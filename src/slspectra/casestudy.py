@@ -13,15 +13,17 @@ tan(s) = 4 s / (4 s^2 - 1); the L^2-normalized eigenfunctions are
 phi_n(z) = k_n [cos(s_n z) + sin(s_n z) / (2 s_n)],
 k_n = 2 sqrt(2) s_n / sqrt(4 s_n^2 + 5).
 
-With mu = 0 and alpha = 1/2 the fractional space carries the
-boundary-plus-gradient inner product
+With mu = 0 and alpha = 1/2 the inner product of the fractional space
+is the form of the transformed operator, core.form_inner_product at D = 1
+and mu = 0:
 <f, g>_{1/2} = f(1) g(1) / 2 + f(0) g(0) / 2 + int f' g',
-equivalent to the full H^1 inner product with lower constant 1/8, and the
-point observations phi_{n,1/2}(0), phi_{n,1/2}(1) are nonzero for every n,
-which is the modal test for infinite-time approximate observability.
-observability_test reads these traces from a solved decomposition of any
-problem; boundary_trace_closed_form gives them in closed form for D = 1,
-the oracle the solver's traces are checked against.
+equivalent to the full H^1 inner product with lower constant 1/8
+(norm_equivalence), and the point observations phi_{n,1/2}(0),
+phi_{n,1/2}(1) are nonzero for every n, which is the modal test for
+infinite-time approximate observability.  observability_test reads these
+traces from a solved decomposition of any problem;
+boundary_trace_closed_form gives them in closed form for D = 1, the oracle
+the solver's traces are checked against.
 """
 
 from __future__ import annotations
@@ -38,11 +40,8 @@ from .core import (
     Interval,
     MissingDerivativeError,
     SLProblem,
-    bc_residual,
     boundary_values,
     find_root,
-    apply_operator,
-    inner_product_rho,
 )
 from .expressions import parse_coeff
 from .fracspace import FractionalSpace
@@ -58,9 +57,6 @@ __all__ = [
     "solve_case_study",
     "characteristic",
     "closed_form_eigenfunction",
-    "h1_inner_product",
-    "h1_full_inner_product",
-    "quadratic_form_identity",
     "poincare_check",
     "norm_equivalence",
     "trig_corpus",
@@ -222,47 +218,6 @@ def closed_form_eigenfunction(
     return GridFunction(grid, values, deriv=dval(z), deriv2=-s * s * values)
 
 
-def h1_inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Boundary-plus-gradient form: f(1)g(1)/2 + f(0)g(0)/2 + int f' g'.
-
-    This is the concrete realization of <.,.>_{1/2} (mu = 0) for the
-    transformed DCR operator; its Gram on the rescaled eigenfunctions is
-    the identity.
-    """
-    if f.deriv is None or g.deriv is None:
-        raise MissingDerivativeError("h1_inner_product needs derivative grids")
-    fa, fb = boundary_values(f)
-    ga, gb = boundary_values(g)
-    grad = float(np.dot(f.deriv * g.deriv, f.grid.weights))
-    return 0.5 * fb * gb + 0.5 * fa * ga + grad
-
-
-def h1_full_inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Standard H^1 form: int f g + int f' g'."""
-    if f.deriv is None or g.deriv is None:
-        raise MissingDerivativeError("h1_full_inner_product needs derivative grids")
-    w = f.grid.weights
-    return float(np.dot(f.values * g.values, w) + np.dot(f.deriv * g.deriv, w))
-
-
-def quadratic_form_identity(prob: SLProblem, f: GridFunction) -> Tuple[float, float]:
-    """(-<Af, f>_rho, <f, f>_{1/2}); the two agree for f in the domain.
-
-    Integration by parts with these dissipative Robin conditions gives
-    <Af, f> = -(f(1)^2/2 + f(0)^2/2 + int (f')^2), so the positive
-    quadratic form equals minus the operator pairing.  The boundary
-    conditions are prechecked, to 1e-8 relative to max |f|.
-    """
-    ra, rb = bc_residual(prob, f)
-    scale = max(1.0, float(np.max(np.abs(f.values))))
-    if max(abs(ra), abs(rb)) > 1e-8 * scale:
-        raise ValueError("f does not satisfy the Robin boundary conditions")
-    af = apply_operator(prob, f)
-    lhs = -inner_product_rho(af, f, prob.rho)
-    rhs = h1_inner_product(f, f)
-    return lhs, rhs
-
-
 def poincare_check(f: GridFunction) -> Tuple[float, float, float]:
     """(lhs, rhs, margin) for  ||x||^2 / 4 <= x(0)^2 / 2 + ||x'||^2."""
     if f.deriv is None:
@@ -279,40 +234,34 @@ class EquivalenceReport:
     min_ratio: float
     max_ratio: float
     corpus_size: int
-    corpus_seed: Optional[int]
-    argmin: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "corpus_seed": self.corpus_seed,
-            "corpus_size": self.corpus_size,
-        }
 
 
-def norm_equivalence(
-    corpus: Sequence[GridFunction], seed: Optional[int] = None
-) -> EquivalenceReport:
+def norm_equivalence(corpus: Sequence[GridFunction]) -> EquivalenceReport:
     """Per-function ratios ||x||^2_{1/2} / ||x||^2_{H^1} over a corpus.
 
-    The lower equivalence constant is 1/8; the reported maximum is an
-    empirical upper constant, not a sharp one.
+    ||x||^2_{1/2} = x(1)^2 / 2 + x(0)^2 / 2 + ||x'||^2 is the form of the
+    transformed D = 1 problem at mu = 0, and ||x||^2_{H^1} = ||x||^2 + ||x'||^2
+    the form of the Neumann problem p = rho = 1 at mu = 1; both are written
+    out here rather than evaluated through core.form_inner_product, which
+    would cost about ten times as much per member.  The lower equivalence
+    constant is 1/8; the reported maximum is an empirical upper constant,
+    not a sharp one.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
     ratios = np.empty(len(corpus))
     for i, f in enumerate(corpus):
-        num = h1_inner_product(f, f)
-        den = h1_full_inner_product(f, f)
+        if f.deriv is None:
+            raise MissingDerivativeError("norm_equivalence needs derivative grids")
+        w = f.grid.weights
+        fa, fb = boundary_values(f)
+        grad = float(np.dot(f.deriv * f.deriv, w))
+        num = 0.5 * fb * fb + 0.5 * fa * fa + grad
+        den = float(np.dot(f.values * f.values, w)) + grad
         if den == 0.0:
             raise ValueError("corpus contains the zero function")
         ratios[i] = num / den
-    imin = int(np.argmin(ratios))
-    return EquivalenceReport(
-        float(ratios[imin]), float(np.max(ratios)), len(corpus), seed, imin
-    )
+    return EquivalenceReport(float(np.min(ratios)), float(np.max(ratios)), len(corpus))
 
 
 def trig_corpus(grid: Grid, size: int, seed: int) -> List[GridFunction]:

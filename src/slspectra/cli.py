@@ -33,6 +33,7 @@ from .core import (
     SLProblem,
     bc_residual,
     find_root,
+    form_inner_product,
     grid_function,
     make_grid,
 )
@@ -54,7 +55,6 @@ from .casestudy import (
     boundary_trace_closed_form,
     check_observation,
     closed_form_eigenfunction,
-    h1_inner_product,
     norm_equivalence,
     observability_from_values,
     observability_test,
@@ -420,9 +420,10 @@ def _suite_casestudy(seed: int):
         nrm_err = max(nrm_err, abs(math.sqrt(float(np.dot(phi.values ** 2, grid.weights))) - 1.0))
     checks.append(("kn_normalization_1e-8", nrm_err <= 1e-8, nrm_err))
     # the solver's rescaled basis (mu = 0), checked against the closed forms
-    fs = fractional_space(solve_spectrum(transformed_problem(model), N=20), 0.5, mu=0.0)
+    prob = transformed_problem(model)
+    fs = fractional_space(solve_spectrum(prob, N=20), 0.5, mu=0.0)
     half = rescaled_basis(fs)
-    G = np.array([[h1_inner_product(f, g) for g in half] for f in half])
+    G = np.array([[form_inner_product(prob, f, g, fs.mu) for g in half] for f in half])
     gerr = float(np.max(np.abs(G - np.eye(20))))
     checks.append(("h1_gram_identity_1e-6", gerr <= 1e-6, gerr))
     corpus = trig_corpus(grid, 1000, seed=seed)
@@ -432,7 +433,7 @@ def _suite_casestudy(seed: int):
         if lhs > rhs + 1e-12:
             fails += 1
     checks.append(("poincare_corpus_1000", fails == 0, float(fails)))
-    rep = norm_equivalence(corpus, seed=seed)
+    rep = norm_equivalence(corpus)
     checks.append(("equivalence_min_1_8", rep.min_ratio >= 0.125 - 1e-10, rep.min_ratio))
     for z0 in (0.0, 1.0):
         r = observability_test(fs, z0)

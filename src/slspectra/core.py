@@ -1,4 +1,5 @@
-"""Grids, quadrature, weighted inner products and the differential operator.
+"""Grids, quadrature, weighted inner products, the differential operator and
+its form.
 
 Everything here is plain data plus pure functions.  The grid is a composite
 Gauss-Legendre rule (P panels of g points) with the interval ends a and b
@@ -30,6 +31,7 @@ __all__ = [
     "norm_rho",
     "apply_operator",
     "bc_residual",
+    "form_inner_product",
     "boundary_values",
     "boundary_derivatives",
     "find_root",
@@ -265,6 +267,31 @@ def bc_residual(prob: SLProblem, f: GridFunction) -> Tuple[float, float]:
     return ra, rb
 
 
+def form_inner_product(
+    prob: SLProblem, f: GridFunction, g: GridFunction, mu: float = 0.0
+) -> float:
+    """The form of mu - A: a_mu(f, g) = int (p f' g' + (q + mu rho) f g)
+    + p(b) (beta_b / alpha_b) f(b) g(b) - p(a) (beta_a / alpha_a) f(a) g(a).
+
+    A Dirichlet end (alpha = 0) adds no term.  Integration by parts gives
+    a_mu(f, f) = <(mu - A) f, f>_rho on D(A); for mu above the spectrum a_mu
+    is the inner product of X_{1/2}, the form domain of mu - A.  The boundary
+    terms read p, f and g at the grid's end nodes, which are a and b.
+    """
+    if not f.grid.same_as(g.grid):
+        raise GridMismatchError("form_inner_product requires a shared grid")
+    if f.deriv is None or g.deriv is None:
+        raise MissingDerivativeError("form_inner_product needs derivative grids")
+    z = f.nodes
+    p = prob.p(z)
+    form = 0.0
+    for end, (alpha, beta), sign in ((-1, prob.bc_b, 1.0), (0, prob.bc_a, -1.0)):
+        if alpha != 0.0:
+            form += sign * p[end] * (beta / alpha) * f.values[end] * g.values[end]
+    bulk = p * f.deriv * g.deriv + (prob.q(z) + mu * prob.rho(z)) * f.values * g.values
+    return float(form + np.dot(bulk, f.weights))
+
+
 # ---------------------------------------------------------------------------
 # Bracketed root finding (Brent)
 
@@ -302,14 +329,3 @@ def find_root(
     except ValueError as exc:  # brentq's own checks: no sign change, bad tol
         raise BracketError(f"{exc} on [{lo}, {hi}]") from exc
 
-
-# ---------------------------------------------------------------------------
-# CSV serialization of grid functions
-
-
-def gridfunction_to_csv(f: GridFunction) -> str:
-    """CSV columns (z, value) with 17 significant decimal digits."""
-    lines = ["z,value"]
-    for z, v in zip(f.nodes, f.values):
-        lines.append(f"{z:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"

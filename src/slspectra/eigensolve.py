@@ -62,11 +62,10 @@ map is exactly the identity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -571,9 +570,6 @@ class SpectralDecomposition:
             "eigenfunctions": self.values.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class ModalCoefficients:
@@ -761,11 +757,7 @@ def _search(sh, lo, hi, flo, fhi, kidx):
         xl[idx], fl[idx], xr[idx], fr[idx] = X[r, below], F[r, below], X[r, above], F[r, above]
 
 
-def solve_spectrum(
-    prob: SLProblem,
-    N: int = 64,
-    panels: Optional[int] = None,
-) -> SpectralDecomposition:
+def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
     """Compute the first N eigenpairs of A = -(SL operator).
 
     Eigenvalues of the positive form -(pf')' + qf = L rho f are located by
@@ -774,7 +766,7 @@ def solve_spectrum(
     Eigenfunctions come from the amplitude equation, rho-normalized, with
     phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).  Either edge of
     the bracketing scan is pushed out at most MAX_BRACKET_EXPANSIONS times
-    before EigenvalueBracketError is raised.  The default grid has
+    before EigenvalueBracketError is raised.  The grid has
     max(DEFAULT_PANELS, N) panels of DEFAULT_POINTS Gauss points, about one
     panel per mode, so high modes stay resolved.  Every phase integration
     runs at relative tolerance ODE_RTOL, and every bracket is closed to
@@ -782,7 +774,7 @@ def solve_spectrum(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    grid = make_grid(prob.interval, max(DEFAULT_PANELS, N) if panels is None else panels)
+    grid = make_grid(prob.interval, max(DEFAULT_PANELS, N))
     sh = _Shooter(prob, grid)  # from here on, everything is in unit variables
     kvec = np.arange(N, dtype=float)
 

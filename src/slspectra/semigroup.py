@@ -8,7 +8,6 @@ floating point; the only approximation is the spectral truncation itself.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ __all__ = [
     "is_compact",
     "growth_bound",
     "trajectory_to_csv",
-    "trajectory_to_json",
 ]
 
 _TINY = np.finfo(np.float64).tiny  # smallest positive normal
@@ -147,7 +145,3 @@ def trajectory_to_csv(traj: SemigroupTrajectory, path_or_file) -> None:
     finally:
         if own:
             fh.close()
-
-
-def trajectory_to_json(traj: SemigroupTrajectory) -> str:
-    return json.dumps(traj.to_dict(), sort_keys=True, indent=2)

@@ -1,4 +1,5 @@
-"""DCR case study: closed-form spectrum, H^1 identification, observability."""
+"""DCR case study: closed-form spectrum, the form of the operator, H^1
+identification, observability."""
 
 import math
 
@@ -7,8 +8,14 @@ import pytest
 
 from slspectra.core import (
     GridFunction,
+    GridMismatchError,
+    MissingDerivativeError,
+    SLProblem,
+    apply_operator,
+    form_inner_product,
     grid_function,
     inner_product_rho,
+    make_grid,
 )
 from slspectra.casestudy import (
     DCRModel,
@@ -16,19 +23,17 @@ from slspectra.casestudy import (
     characteristic,
     closed_form_eigenfunction,
     dcr_sl_problem,
-    h1_full_inner_product,
-    h1_inner_product,
     norm_equivalence,
     observability_from_values,
     observability_test,
     poincare_check,
-    quadratic_form_identity,
     solve_case_study,
     transform_state,
     transformed_problem,
     trig_corpus,
 )
-from slspectra.fracspace import fractional_space
+from slspectra.eigensolve import solve_spectrum
+from slspectra.fracspace import fractional_space, rescaled_basis
 from slspectra.oracle import assemble, fd_eigs
 
 S1 = 0.9601888739147829  # first characteristic root, frozen from bisection
@@ -111,51 +116,90 @@ def test_transformed_route_matches_closed_form(transformed_dec50, cs_spec50):
     assert np.max(np.abs(transformed_dec50.eigenvalues[:10] - cs_spec50.lam[:10])) <= 1e-8
 
 
-def test_h1_inner_product_examples(std_grid):
+def test_form_inner_product_examples(model, neumann_problem, std_grid):
     one = grid_function(std_grid, lambda z: np.ones_like(z), lambda z: np.zeros_like(z))
     lin = grid_function(std_grid, lambda z: z, lambda z: np.ones_like(z))
-    assert h1_inner_product(one, one) == pytest.approx(1.0, abs=1e-14)
-    assert h1_inner_product(one, lin) == pytest.approx(0.5, abs=1e-14)
-    assert h1_inner_product(lin, lin) == pytest.approx(1.5, abs=1e-14)
-    assert h1_full_inner_product(lin, lin) == pytest.approx(4.0 / 3.0, abs=1e-14)
+    # the transformed DCR at mu = 0: f(1) g(1) / 2 + f(0) g(0) / 2 + int f' g'
+    dcr = transformed_problem(model)
+    assert form_inner_product(dcr, one, one) == pytest.approx(1.0, abs=1e-14)
+    assert form_inner_product(dcr, one, lin) == pytest.approx(0.5, abs=1e-14)
+    assert form_inner_product(dcr, lin, lin) == pytest.approx(1.5, abs=1e-14)
+    # Neumann, p = rho = 1, at mu = 1: the full H^1 product
+    assert form_inner_product(neumann_problem, lin, lin, mu=1.0) == pytest.approx(
+        4.0 / 3.0, abs=1e-14
+    )
+    with pytest.raises(MissingDerivativeError):
+        form_inner_product(dcr, one, grid_function(std_grid, lambda z: z))
+    coarse = grid_function(make_grid(std_grid.interval, 8), lambda z: z, lambda z: np.ones_like(z))
+    with pytest.raises(GridMismatchError):
+        form_inner_product(dcr, lin, coarse)
 
 
-def test_h1_gram_identity(cs_spec50, std_grid):
-    # the boundary-plus-gradient form makes {phi_n / s_n} orthonormal:
-    # the computational witness that X_{1/2} (mu = 0) carries the H^1 norm
+def test_h1_gram_identity(model, cs_spec50, std_grid):
+    # the form of the transformed operator at mu = 0 makes {phi_n / s_n}
+    # orthonormal: the computational witness that X_{1/2} carries the H^1 norm
+    prob = transformed_problem(model)
     half = [
         closed_form_eigenfunction(cs_spec50, n, std_grid).scaled(1.0 / float(cs_spec50.s[n - 1]))
         for n in range(1, 21)
     ]
-    G = np.array([[h1_inner_product(f, g) for g in half] for f in half])
+    G = np.array([[form_inner_product(prob, f, g) for g in half] for f in half])
     assert np.max(np.abs(G - np.eye(20))) < 1e-6
+
+
+def _form_pair(prob, f):
+    """(-<Af, f>_rho, a_0(f, f)); integration by parts makes them equal on D(A)."""
+    return -inner_product_rho(apply_operator(prob, f), f, prob.rho), form_inner_product(prob, f, f)
+
+
+def _sum(f, g):
+    return GridFunction(
+        f.grid, f.values + g.values, deriv=f.deriv + g.deriv, deriv2=f.deriv2 + g.deriv2
+    )
 
 
 def test_quadratic_form_identity(model, cs_spec50, std_grid):
     prob = transformed_problem(model)
     f1 = closed_form_eigenfunction(cs_spec50, 1, std_grid)
     f2 = closed_form_eigenfunction(cs_spec50, 2, std_grid)
-    lhs, rhs = quadratic_form_identity(prob, f1)
-    assert abs(lhs - rhs) <= 1e-8
-    assert lhs == pytest.approx(cs_spec50.s[0] ** 2, rel=1e-10)
-    lhs, rhs = quadratic_form_identity(prob, f2)
-    assert lhs == pytest.approx(cs_spec50.s[1] ** 2, rel=1e-10)
-    both = GridFunction(
-        std_grid,
-        f1.values + f2.values,
-        deriv=f1.deriv + f2.deriv,
-        deriv2=f1.deriv2 + f2.deriv2,
-    )
-    lhs, rhs = quadratic_form_identity(prob, both)
-    assert abs(lhs - rhs) <= 1e-8
-    assert lhs == pytest.approx(cs_spec50.s[0] ** 2 + cs_spec50.s[1] ** 2, rel=1e-10)
+    s1, s2 = cs_spec50.s[0] ** 2, cs_spec50.s[1] ** 2
+    for f, expected in ((f1, s1), (f2, s2), (_sum(f1, f2), s1 + s2)):
+        lhs, rhs = _form_pair(prob, f)
+        assert abs(lhs - rhs) <= 1e-8
+        assert lhs == pytest.approx(expected, rel=1e-10)
 
 
-def test_quadratic_form_rejects_bc_violation(model, std_grid):
-    prob = transformed_problem(model)
-    bad = grid_function(std_grid, lambda z: z * z, lambda z: 2 * z, lambda z: 2 * np.ones_like(z))
-    with pytest.raises(ValueError):
-        quadratic_form_identity(prob, bad)
+@pytest.fixture(scope="module")
+def form_decs(model):
+    """N = 20 solves of problems beyond the closed forms, for the form's tests."""
+    probs = {
+        "dcr_D2": transformed_problem(DCRModel(2.0, model.k0)),
+        "p1z2": SLProblem.from_strings(0.0, 1.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5)),
+        "weighted_dcr": dcr_sl_problem(model),
+        "dirichlet_robin": SLProblem.from_strings(
+            2.0, 5.0, "2+sin(z)", "0.3*z", "1+z", (0.0, 1.0), (1.0, 0.3)
+        ),
+    }
+    return {name: solve_spectrum(prob, N=20) for name, prob in probs.items()}
+
+
+def test_form_identity_on_solver_eigenfunctions(form_decs, weighted_dec):
+    decs = [form_decs["dcr_D2"], form_decs["p1z2"], weighted_dec, form_decs["dirichlet_robin"]]
+    for dec in decs:
+        f1, f2 = dec.eigenfunctions[:2]
+        for f in (f1, f2, _sum(f1, f2)):
+            lhs, rhs = _form_pair(dec.problem, f)
+            assert abs(lhs - rhs) <= 1e-12 * abs(rhs), (dec.problem, lhs, rhs)
+
+
+def test_rescaled_basis_orthonormal_under_form(form_decs):
+    # X_{1/2} without modal sums: at mu = gamma + 1 the form a_mu is the
+    # inner product of the form domain of mu - A
+    for name in ("p1z2", "weighted_dcr", "dirichlet_robin"):
+        fs = fractional_space(form_decs[name], 0.5)
+        half = rescaled_basis(fs)
+        G = np.array([[form_inner_product(fs.dec.problem, f, g, fs.mu) for g in half] for f in half])
+        assert np.max(np.abs(G - np.eye(20))) <= 1e-10, name
 
 
 def test_poincare_examples(std_grid):
@@ -170,19 +214,26 @@ def test_poincare_examples(std_grid):
     assert margin > 0.0
 
 
-def test_poincare_and_equivalence_corpus(std_grid):
+def test_poincare_and_equivalence_corpus(model, neumann_problem, std_grid):
     corpus = trig_corpus(std_grid, 1000, seed=20260826)
     for f in corpus:
         lhs, rhs, _ = poincare_check(f)
         assert lhs <= rhs + 1e-12
-    report = norm_equivalence(corpus, seed=20260826)
+    report = norm_equivalence(corpus)
     assert report.min_ratio >= 0.125 - 1e-10
     assert report.max_ratio >= report.min_ratio
-    assert report.corpus_seed == 20260826
     assert report.corpus_size == 1000
-    # self-consistency of the reported upper constant
-    for f in corpus:
-        assert h1_inner_product(f, f) <= (report.max_ratio + 1e-9) * h1_full_inner_product(f, f)
+    # norm_equivalence writes out two forms: the transformed DCR at mu = 0
+    # over the Neumann problem p = rho = 1 at mu = 1.  Its constants are the
+    # extremes of their ratio, and the upper one bounds every member.
+    dcr = transformed_problem(model)
+    ratios = np.array([
+        form_inner_product(dcr, f, f) / form_inner_product(neumann_problem, f, f, mu=1.0)
+        for f in corpus
+    ])
+    assert np.all(ratios <= report.max_ratio + 1e-9)
+    assert report.min_ratio == pytest.approx(ratios.min(), rel=1e-13)
+    assert report.max_ratio == pytest.approx(ratios.max(), rel=1e-13)
 
 
 def test_norm_equivalence_linear_example(std_grid):
@@ -252,8 +303,6 @@ def test_observability_interior_point_rejected(transformed_dec50):
 
 def test_eigenrelation_through_weighted_coefficients(model, weighted_dec, std_grid):
     # the weighted operator applied to its own first eigenfunction
-    from slspectra.core import apply_operator
-
     prob = dcr_sl_problem(model)
     phi1 = weighted_dec.eigenfunctions[0]
     af = apply_operator(prob, phi1)

@@ -18,7 +18,6 @@ from slspectra.core import (
     boundary_values,
     find_root,
     grid_function,
-    gridfunction_to_csv,
     inner_product_rho,
     integrate,
     make_grid,
@@ -191,13 +190,3 @@ def test_constant_division_by_zero_is_named(name):
 def test_bc_tuple_validation():
     with pytest.raises(ValueError):
         SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 0.0), (0.0, 1.0))
-
-
-def test_csv_round_trip_precision():
-    g = make_grid(Interval(0.0, 1.0), panels=4)
-    f = grid_function(g, lambda z: np.exp(z) / 3.0)
-    text = gridfunction_to_csv(f)
-    lines = text.strip().splitlines()
-    assert lines[0] == "z,value"
-    vals = np.array([float(row.split(",")[1]) for row in lines[1:]])
-    assert np.array_equal(vals, f.values)  # 17 significant digits round-trip

@@ -172,7 +172,7 @@ def test_recovery_peak_memory(dirichlet_problem):
 
 
 def test_json_round_trip(neumann_dec):
-    doc = json.loads(neumann_dec.to_json())
+    doc = json.loads(json.dumps(neumann_dec.to_dict()))
     assert doc["schema_version"] == 1
     assert np.allclose(doc["eigenvalues"], neumann_dec.eigenvalues)
     V = np.array(doc["eigenfunctions"])

@@ -16,7 +16,6 @@ from slspectra.semigroup import (
     is_exponentially_stable,
     trajectory,
     trajectory_to_csv,
-    trajectory_to_json,
 )
 
 
@@ -153,7 +152,7 @@ def test_csv_and_json_outputs(dirichlet_dec, tmp_path):
     assert len(lines) == 4
     row1 = [float(v) for v in lines[1].split(",")]
     assert np.array_equal(np.array(row1[1:]), c0.coefficients)
-    doc = json.loads(trajectory_to_json(traj))
+    doc = json.loads(json.dumps(traj.to_dict()))
     assert doc["schema_version"] == 1
     assert doc["alpha"] == 0.5
     assert len(doc["norms_alpha"]) == 3
