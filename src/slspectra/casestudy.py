@@ -17,13 +17,14 @@ With mu = 0 and alpha = 1/2 the inner product of the fractional space
 is the form of the transformed operator, core.form_inner_product at D = 1
 and mu = 0:
 <f, g>_{1/2} = f(1) g(1) / 2 + f(0) g(0) / 2 + int f' g',
-equivalent to the full H^1 inner product with lower constant 1/8
-(norm_equivalence), and the point observations phi_{n,1/2}(0),
-phi_{n,1/2}(1) are nonzero for every n, which is the modal test for
-infinite-time approximate observability.  observability_test reads these
-traces from a solved decomposition of any problem;
-boundary_trace_closed_form gives them in closed form for D = 1, the oracle
-the solver's traces are checked against.
+equivalent to the full H^1 inner product with lower constant 1/8, which
+norm_equivalence computes by Rayleigh-Ritz through the form over the span
+of trig_corpus (poincare_check likewise the Poincare constant, bound 1/4),
+and the point observations phi_{n,1/2}(0), phi_{n,1/2}(1) are nonzero for
+every n, the modal test for infinite-time approximate observability.
+observability_test reads these traces from a solved decomposition of any
+problem; boundary_trace_closed_form gives them in closed form for D = 1,
+the oracle the solver's traces are checked against.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .core import (
     Grid,
     GridFunction,
     Interval,
-    MissingDerivativeError,
     SLProblem,
-    boundary_values,
     find_root,
+    form_inner_product,
+    inner_product_rho,
 )
 from .expressions import parse_coeff
 from .fracspace import FractionalSpace
@@ -218,15 +219,42 @@ def closed_form_eigenfunction(
     return GridFunction(grid, values, deriv=dval(z), deriv2=-s * s * values)
 
 
-def poincare_check(f: GridFunction) -> Tuple[float, float, float]:
-    """(lhs, rhs, margin) for  ||x||^2 / 4 <= x(0)^2 / 2 + ||x'||^2."""
-    if f.deriv is None:
-        raise MissingDerivativeError("poincare_check needs a derivative grid")
-    w = f.grid.weights
-    lhs = 0.25 * float(np.dot(f.values * f.values, w))
-    fa, _ = boundary_values(f)
-    rhs = 0.5 * fa * fa + float(np.dot(f.deriv * f.deriv, w))
-    return lhs, rhs, rhs - lhs
+def _ritz_extremes(num, den, corpus: Sequence[GridFunction]) -> Tuple[float, float]:
+    """Smallest and largest num(f, f) / den(f, f) over f in span(corpus).
+
+    By the Courant-Fischer min-max principle these are the extreme
+    eigenvalues of the pencil of Gram matrices (A, B), those of L^-1 A L^-T
+    with B = L L^T.  Only the upper triangles are evaluated.
+    """
+    n = len(corpus)
+    if n == 0:
+        raise ValueError("corpus must be nonempty")
+    A, B = np.zeros((2, n, n))
+    for i, f in enumerate(corpus):
+        for j in range(i, n):
+            A[i, j], B[i, j] = num(f, corpus[j]), den(f, corpus[j])
+    A, B = (M + np.triu(M, 1).T for M in (A, B))
+    try:
+        # numpy's rank rule first: a repeated member can leave a tiny positive pivot
+        if np.linalg.matrix_rank(B, hermitian=True) < n:
+            raise np.linalg.LinAlgError
+        Linv = np.linalg.inv(np.linalg.cholesky(B))
+    except np.linalg.LinAlgError:
+        raise ValueError("corpus is linearly dependent: its Gram matrix is singular") from None
+    ev = np.linalg.eigvalsh(Linv @ A @ Linv.T)
+    return float(ev[0]), float(ev[-1])
+
+
+def poincare_check(corpus: Sequence[GridFunction]) -> float:
+    """The Poincare constant min (x(0)^2 / 2 + ||x'||^2) / ||x||^2 over span(corpus).
+
+    The numerator is a_0 of p = rho = 1, q = 0, Robin (1, -1/2) at 0 and
+    Neumann at 1.  The paper's bound is 1/4; over H^1 the infimum is s^2,
+    s tan s = 1/2 (0.4268).
+    """
+    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, -0.5), (1.0, 0.0))
+    return _ritz_extremes(lambda f, g: form_inner_product(prob, f, g),
+                          lambda f, g: inner_product_rho(f, g, prob.rho), corpus)[0]
 
 
 @dataclass(frozen=True)
@@ -237,55 +265,27 @@ class EquivalenceReport:
 
 
 def norm_equivalence(corpus: Sequence[GridFunction]) -> EquivalenceReport:
-    """Per-function ratios ||x||^2_{1/2} / ||x||^2_{H^1} over a corpus.
+    """Extremes of ||x||^2_{1/2} / ||x||^2_{H^1} over span(corpus).
 
-    ||x||^2_{1/2} = x(1)^2 / 2 + x(0)^2 / 2 + ||x'||^2 is the form of the
-    transformed D = 1 problem at mu = 0, and ||x||^2_{H^1} = ||x||^2 + ||x'||^2
-    the form of the Neumann problem p = rho = 1 at mu = 1; both are written
-    out here rather than evaluated through core.form_inner_product, which
-    would cost about ten times as much per member.  The lower equivalence
-    constant is 1/8; the reported maximum is an empirical upper constant,
-    not a sharp one.
+    ||x||^2_{1/2} = x(1)^2 / 2 + x(0)^2 / 2 + ||x'||^2 is a_0 of the
+    transformed D = 1 problem (k0 does not enter it), ||x||^2_{H^1} =
+    ||x||^2 + ||x'||^2 is a_1 of p = rho = 1, q = 0 with Neumann ends.  The
+    paper's lower equivalence constant is 1/8.
     """
-    if len(corpus) == 0:
-        raise ValueError("corpus must be nonempty")
-    ratios = np.empty(len(corpus))
-    for i, f in enumerate(corpus):
-        if f.deriv is None:
-            raise MissingDerivativeError("norm_equivalence needs derivative grids")
-        w = f.grid.weights
-        fa, fb = boundary_values(f)
-        grad = float(np.dot(f.deriv * f.deriv, w))
-        num = 0.5 * fb * fb + 0.5 * fa * fa + grad
-        den = float(np.dot(f.values * f.values, w)) + grad
-        if den == 0.0:
-            raise ValueError("corpus contains the zero function")
-        ratios[i] = num / den
-    return EquivalenceReport(float(np.min(ratios)), float(np.max(ratios)), len(corpus))
+    dcr = transformed_problem(DCRModel(1.0, 1.0))
+    neumann = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
+    lo, hi = _ritz_extremes(lambda f, g: form_inner_product(dcr, f, g),
+                            lambda f, g: form_inner_product(neumann, f, g, mu=1.0), corpus)
+    return EquivalenceReport(lo, hi, len(corpus))
 
 
-def trig_corpus(grid: Grid, size: int, seed: int) -> List[GridFunction]:
-    """Seeded trigonometric polynomials a0 + b0 z + sum_k a_k cos(k pi z) + b_k sin(k pi z).
-
-    k runs to 10.  Coefficients are uniform in [-1, 1]; derivatives are
-    analytic, so every member is a legitimate H^1 test function.
-    """
-    degree = 10
-    rng = np.random.default_rng(seed)
-    z = grid.nodes
-    ks = np.arange(1, degree + 1) * math.pi
-    cos_b = np.cos(np.outer(ks, z))            # (degree, M)
-    sin_b = np.sin(np.outer(ks, z))
-    out: List[GridFunction] = []
-    for _ in range(size):
-        c = rng.uniform(-1.0, 1.0, size=2 * degree + 2)
-        a0, b0 = c[0], c[1]
-        ac, bs = c[2 : degree + 2], c[degree + 2 :]
-        values = a0 + b0 * z + ac @ cos_b + bs @ sin_b
-        deriv = b0 - (ac * ks) @ sin_b + (bs * ks) @ cos_b
-        deriv2 = -(ac * ks * ks) @ cos_b - (bs * ks * ks) @ sin_b
-        out.append(GridFunction(grid, values, deriv=deriv, deriv2=deriv2))
-    return out
+def trig_corpus(grid: Grid, size: int) -> List[GridFunction]:
+    """cos(k pi z), k = 0 .. size - 1, with exact derivatives: the Neumann
+    eigenfunctions, an orthogonal basis of H^1(0, 1), so their Gram matrices
+    stay well conditioned."""
+    w = np.arange(size)[:, None] * math.pi
+    c, s = np.cos(w * grid.nodes), np.sin(w * grid.nodes)
+    return [GridFunction(grid, *rows) for rows in zip(c, -w * s, -w * w * c)]
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,11 @@ def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], str]:
     return prob, None, raw
 
 
+def _fractional_space(dec, alpha: float, model: Optional[DCRModel]):
+    """X_alpha: at the case study's mu = 0 on the dcr preset, else at gamma + 1."""
+    return fractional_space(dec, alpha, mu=0.0 if model is not None else None)
+
+
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -266,7 +271,7 @@ def cmd_simulate(args, argv) -> int:
     c0 = coefficients_of(
         GridFunction(dec.grid, _initial_state(x0_expr, model, dec.grid.nodes)), dec)
 
-    fs = fractional_space(dec, args.alpha) if args.alpha is not None else None
+    fs = _fractional_space(dec, args.alpha, model) if args.alpha is not None else None
     traj = trajectory(c0, times, alpha_space=fs, kappa=kappa)
     doc = traj.to_dict()
 
@@ -309,7 +314,7 @@ def cmd_observe(args, argv) -> int:
             with open(args.synthetic) as fh:
                 doc_in = json.load(fh)
             values = np.asarray(doc_in["values"], dtype=np.float64)
-            z0 = float(doc_in.get("z0", 0.0 if args.z0 is None else args.z0))
+            z0 = float(doc_in.get("z0", 0.0) if args.z0 is None else args.z0)
             alpha = float(doc_in.get("alpha", 0.5))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad synthetic report input: {exc}")
@@ -320,8 +325,7 @@ def cmd_observe(args, argv) -> int:
         z0 = prob.interval.a if args.z0 is None else args.z0
         check_observation(prob.interval, z0, args.tol)  # before the solve
         dec = solve_spectrum(prob, N=args.modes)
-        # the dcr preset keeps the case study's mu = 0
-        fs = fractional_space(dec, 0.5, mu=0.0 if model is not None else None)
+        fs = _fractional_space(dec, 0.5, model)
         report = observability_test(fs, z0, tol=args.tol)
     _emit(_dump_json(report.to_dict()), args.out)
     _write_manifest(args.out, argv, config_text, None, {"trace_tol": args.tol}, t0)
@@ -421,18 +425,14 @@ def _suite_casestudy(seed: int):
     checks.append(("kn_normalization_1e-8", nrm_err <= 1e-8, nrm_err))
     # the solver's rescaled basis (mu = 0), checked against the closed forms
     prob = transformed_problem(model)
-    fs = fractional_space(solve_spectrum(prob, N=20), 0.5, mu=0.0)
+    fs = _fractional_space(solve_spectrum(prob, N=20), 0.5, model)
     half = rescaled_basis(fs)
     G = np.array([[form_inner_product(prob, f, g, fs.mu) for g in half] for f in half])
     gerr = float(np.max(np.abs(G - np.eye(20))))
     checks.append(("h1_gram_identity_1e-6", gerr <= 1e-6, gerr))
-    corpus = trig_corpus(grid, 1000, seed=seed)
-    fails = 0
-    for f in corpus:
-        lhs, rhs, _ = poincare_check(f)
-        if lhs > rhs + 1e-12:
-            fails += 1
-    checks.append(("poincare_corpus_1000", fails == 0, float(fails)))
+    corpus = trig_corpus(grid, 16)  # Ritz constants over 16 Neumann cosines
+    c = poincare_check(corpus)
+    checks.append(("poincare_min_1_4", c >= 0.25, c))
     rep = norm_equivalence(corpus)
     checks.append(("equivalence_min_1_8", rep.min_ratio >= 0.125 - 1e-10, rep.min_ratio))
     for z0 in (0.0, 1.0):
@@ -507,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", nargs="?", default=None)
     p.add_argument("--z0", type=float, default=None,
                    help="the end observed: a or b of the interval (default a; "
-                        "with --synthetic, the file's z0, else 0)")
+                        "with --synthetic, it overrides the file's z0, which "
+                        "defaults to 0)")
     p.add_argument("--modes", type=int, default=50)
     p.add_argument("--tol", type=float, default=DEFAULT_OBSERVABILITY_TOL)
     p.add_argument("--synthetic", default=None,

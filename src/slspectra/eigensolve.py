@@ -286,20 +286,21 @@ def _slope(k, th2, base, slope, trig):
     k += base
 
 
-def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
-    """Integrate a Pruefer system from z0 to z1 for all lams at once.
+def _integrate(rhs, lams, theta0, z_out=None):
+    """Integrate a Pruefer system over s in [0, 1] for all lams at once, at
+    relative tolerance ODE_RTOL.
 
     The step is shared across the batch and controlled by the worst
     per-component error, so a member's result depends, to within the
     tolerance, on which other members share its batch.  Steps are at most
     rhs.max_step long, and with z_out at most DENSE_MAX_STEP.  Returns the
-    final states (ncomp, n), or with z_out (a sorted sequence in [z0, z1])
-    the states (len(z_out), ncomp, n) there, read off the continuous
-    extension of the steps taken towards z1.
+    final angles (1, n), or with z_out (a sorted sequence in [0, 1]) the
+    angles and log amplitudes (len(z_out), 2, n) there, read off the
+    continuous extension of the steps taken towards 1.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.size
-    ncomp = 2 if amplitude else 1
+    ncomp = 1 if z_out is None else 2
     shape = (ncomp, n)
     y = np.zeros(shape)
     y[0] = theta0
@@ -310,12 +311,9 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
     out = None
     if z_out is not None:
         z_out = np.asarray(z_out, dtype=float)
-        outside = np.where((z_out < z0) | (z_out > z1))[0]
+        outside = np.where((z_out < 0.0) | (z_out > 1.0))[0]
         if outside.size:
-            raise ValueError(
-                f"z_out point {float(z_out[outside[0]])!r} is outside "
-                f"[{float(z0)!r}, {float(z1)!r}]"
-            )
+            raise ValueError(f"z_out point {float(z_out[outside[0]])!r} is outside [0.0, 1.0]")
         drop = np.where(np.diff(z_out) < 0.0)[0]
         if drop.size:
             raise ValueError(
@@ -335,17 +333,17 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
         th2 += y2
         _slope(K[s], th2, base, slope, trig)
 
-    dz = rhs.initial_step(lams, z1 - z0)
+    dz = rhs.initial_step(lams)
     K = np.empty((16,) + shape)
     rows = K.reshape(16, -1)  # the stages as rows of one array, for the stage sums
     prefix = [rows[:s] for s in range(16)]  # what stage s sums over
 
-    z = z0
+    z = 0.0
     y2 = 2.0 * y[0]
-    base, slope = _tables(rhs, np.array([z0]), lams, ncomp)
+    base, slope = _tables(rhs, np.array([z]), lams, ncomp)
     _slope(K[0], y2, base[0], slope[0], trig)
-    while z < z1 - 1e-15 * max(1.0, abs(z1)):
-        h = min(dz, max_step, z1 - z)
+    while z < 1.0 - 1e-15:
+        h = min(dz, max_step, 1.0 - z)
         while True:
             A2h = (2.0 * h) * _A
             # the coefficients at stages 1-12, z + c h (c = 1 at stage 12)
@@ -356,14 +354,14 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
             y2new = 2.0 * ynew[0]
             _slope(K[12], y2new, base[11], slope[11], trig)
             # the dop853 estimate h err5^2 / sqrt(err5^2 + err3^2 / 100), per component
-            scale = atol + rtol * np.maximum(np.abs(ynew), np.abs(y)).reshape(-1)
+            scale = atol + ODE_RTOL * np.maximum(np.abs(ynew), np.abs(y)).reshape(-1)
             e5, e3 = np.square(np.dot(_E, rows[:13]) / scale)
             # (the floor on the denominator makes 0 of 0 / 0 and keeps nan)
             emax = h * float(np.max(e5 / np.sqrt(np.maximum(e5 + 0.01 * e3, 1e-300))))
             if emax <= 1.0:  # false for a nan estimate too
                 break
             h *= max(1.0 / 3.0, 0.9 * emax ** -0.125)
-            if h < 1e-14 * max(1.0, abs(z1)):
+            if h < 1e-14:
                 unit = rhs.unit  # report where and for what, in the caller's units
                 raise RuntimeError(
                     f"{rhs.form} Pruefer ODE step size underflow at z={float(unit.z(z))!r}, "
@@ -386,7 +384,7 @@ def _integrate(rhs, lams, z0, z1, theta0, rtol, z_out=None, amplitude=False):
         dz = h * (min(6.0, 0.9 * emax ** -0.125) if emax > 0.0 else 6.0)
     if out is None:
         return y
-    out[i_out:] = y  # z1 itself (and points within rounding of it)
+    out[i_out:] = y  # 1 itself (and points within rounding of it)
     return out
 
 
@@ -449,9 +447,9 @@ class _PlainRHS:
         self.unit = unit
         self.coeffs = unit.scalar(3)
 
-    def initial_step(self, lams, span):
+    def initial_step(self, lams):
         freq = math.sqrt(max(float(np.max(np.abs(lams))), 1.0))
-        return max(min(0.1 / freq, abs(span) * 0.25), 1e-12)
+        return max(0.1 / freq, 1e-12)
 
     def scale(self, lams, p, q, rho):
         """S in f = r sin(theta) / S: here S = 1."""
@@ -480,8 +478,8 @@ class _ScaledRHS:
         self.unit = unit
         self.coeffs = unit.scalar(6)
 
-    def initial_step(self, lams, span):
-        return max(min(0.01, abs(span) * 0.25), 1e-12)
+    def initial_step(self, lams):
+        return 0.01
 
     def scale(self, lams, p, q, rho):
         """S in f = w sin(theta) / S: here S = sqrt(p (L rho - q))."""
@@ -626,14 +624,14 @@ class _Shooter:
         th = np.mod(np.arctan2(-alpha * s_fac, self.p_s[end] * beta), math.pi)
         return th if z_end == "a" else np.where(th == 0.0, math.pi, th)
 
-    def _shoot(self, lams: np.ndarray, **kwargs):
+    def _shoot(self, lams: np.ndarray, z_out=None):
         """(indices, Pruefer RHS, _integrate states) per Pruefer form in lams."""
         mask = self.is_scaled(lams)
         for use_scaled, rhs in ((False, self.plain), (True, self.scaled)):
             sel = np.flatnonzero(mask == use_scaled)
             if sel.size:
                 th0 = self.theta(lams[sel], rhs, "a")
-                states = _integrate(rhs, lams[sel], 0.0, 1.0, th0, ODE_RTOL, **kwargs)
+                states = _integrate(rhs, lams[sel], th0, z_out)
                 yield sel, rhs, states
 
     def miss(self, lams: np.ndarray, kidx: np.ndarray) -> np.ndarray:
@@ -651,7 +649,7 @@ class _Shooter:
         Both Pruefer forms are integrated before the mode rows are allocated,
         so the integrators' work arrays and the rows are never live together.
         """
-        shots = list(self._shoot(lams, z_out=self.s_out, amplitude=True))
+        shots = list(self._shoot(lams, self.s_out))
         p, q, rho, dp = self.p_s, self.q_s, self.rho_s, self.dp_s
         ell = self.unit.ell
         wrho = self.prob.rho(self.grid.nodes) * self.grid.weights

@@ -1,9 +1,12 @@
 """Acceptance gate: every `slspectra verify` suite at three seeds.
 
 The checks live once, in `slspectra.cli.SUITES`; this file only runs them.
-Seed 0 is the CLI default, 7 the README and perfbench seed, and 20260826 the
-seed of the Poincaré and norm-equivalence corpus. README "Testing" maps each
-of the paper's criteria to the module test that checks it.
+Seed 0 is the CLI default and 7 the README and perfbench seed.  20260826
+was the seed of a random Poincaré and norm-equivalence corpus; those
+constants are now Rayleigh-Ritz values over a fixed span and take no seed,
+and the seed stays as a third draw for the random checks of the other
+suites.  README "Testing" maps each of the paper's criteria to the module
+test that checks it.
 
 Run with `pytest -s tests/test_acceptance.py` to see one line per check.
 """

@@ -12,6 +12,7 @@ from slspectra.core import (
     MissingDerivativeError,
     SLProblem,
     apply_operator,
+    find_root,
     form_inner_product,
     grid_function,
     inner_product_rho,
@@ -203,37 +204,70 @@ def test_rescaled_basis_orthonormal_under_form(form_decs):
 
 
 def test_poincare_examples(std_grid):
+    # on one member the constant is that member's own ratio
+    # (x(0)^2 / 2 + ||x'||^2) / ||x||^2: 9/2 over 9 for x = 3, 1 over 1/3 for x = z
     const = grid_function(std_grid, lambda z: 3 * np.ones_like(z), lambda z: np.zeros_like(z))
-    lhs, rhs, margin = poincare_check(const)
-    assert lhs == pytest.approx(9.0 / 4.0, abs=1e-12)
-    assert rhs == pytest.approx(9.0 / 2.0, abs=1e-12)
+    assert poincare_check([const]) == pytest.approx(0.5, abs=1e-12)
     lin = grid_function(std_grid, lambda z: z, lambda z: np.ones_like(z))
-    lhs, rhs, margin = poincare_check(lin)
-    assert lhs == pytest.approx(1.0 / 12.0, abs=1e-12)
-    assert rhs == pytest.approx(1.0, abs=1e-12)
-    assert margin > 0.0
+    assert poincare_check([lin]) == pytest.approx(3.0, abs=1e-12)
+
+
+def _ratio_pair(model, neumann_problem):
+    """The equivalence ratio's two forms: transformed DCR at mu = 0 over
+    the Neumann problem p = rho = 1 at mu = 1."""
+    dcr = transformed_problem(model)
+    return (lambda f: form_inner_product(dcr, f, f),
+            lambda f: form_inner_product(neumann_problem, f, f, mu=1.0))
 
 
 def test_poincare_and_equivalence_corpus(model, neumann_problem, std_grid):
-    corpus = trig_corpus(std_grid, 1000, seed=20260826)
-    for f in corpus:
-        lhs, rhs, _ = poincare_check(f)
-        assert lhs <= rhs + 1e-12
+    corpus = trig_corpus(std_grid, 16)
+    assert len(corpus) == 16
+    assert poincare_check(corpus) >= 0.25
     report = norm_equivalence(corpus)
     assert report.min_ratio >= 0.125 - 1e-10
     assert report.max_ratio >= report.min_ratio
-    assert report.corpus_size == 1000
-    # norm_equivalence writes out two forms: the transformed DCR at mu = 0
-    # over the Neumann problem p = rho = 1 at mu = 1.  Its constants are the
-    # extremes of their ratio, and the upper one bounds every member.
-    dcr = transformed_problem(model)
-    ratios = np.array([
-        form_inner_product(dcr, f, f) / form_inner_product(neumann_problem, f, f, mu=1.0)
-        for f in corpus
-    ])
-    assert np.all(ratios <= report.max_ratio + 1e-9)
-    assert report.min_ratio == pytest.approx(ratios.min(), rel=1e-13)
-    assert report.max_ratio == pytest.approx(ratios.max(), rel=1e-13)
+    assert report.corpus_size == 16
+    # the extremes over the span bound every member's own ratio
+    num, den = _ratio_pair(model, neumann_problem)
+    ratios = np.array([num(f) / den(f) for f in corpus])
+    assert np.all(ratios >= report.min_ratio * (1.0 - 1e-12))
+    assert np.all(ratios <= report.max_ratio * (1.0 + 1e-12))
+
+
+def test_poincare_ritz_decreases_to_h1_infimum(std_grid):
+    # over H^1 the infimum is s^2 with s tan s = 1/2; nested spans can only
+    # bring the Ritz minimum down towards it
+    s = find_root(lambda x: x * math.tan(x) - 0.5, 0.1, 1.0, tol=1e-15)
+    assert s * s == pytest.approx(0.4267632, abs=1e-7)
+    consts = [poincare_check(trig_corpus(std_grid, n)) for n in (8, 12, 16, 22)]
+    assert np.all(np.diff(consts) < 0.0), consts
+    assert min(consts) > s * s
+    assert consts[2] - s * s <= 3e-3
+
+
+def test_equivalence_extremes_bound_combinations(model, neumann_problem, std_grid):
+    corpus = trig_corpus(std_grid, 16)
+    report = norm_equivalence(corpus)
+    num, den = _ratio_pair(model, neumann_problem)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        c = rng.standard_normal(16)
+        f = GridFunction(std_grid, sum(ci * g.values for ci, g in zip(c, corpus)),
+                         deriv=sum(ci * g.deriv for ci, g in zip(c, corpus)))
+        r = num(f) / den(f)
+        assert report.min_ratio * (1.0 - 1e-12) <= r <= report.max_ratio * (1.0 + 1e-12)
+
+
+def test_ritz_rejects_repeated_member(std_grid):
+    # a repeated member leaves Cholesky a tiny positive pivot at some places,
+    # so every place is tried
+    corpus = trig_corpus(std_grid, 16)
+    for k in range(16):
+        dup = corpus + [corpus[k]]
+        for check in (norm_equivalence, poincare_check):
+            with pytest.raises(ValueError, match="linearly dependent"):
+                check(dup)
 
 
 def test_norm_equivalence_linear_example(std_grid):

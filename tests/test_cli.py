@@ -168,6 +168,22 @@ def test_simulate_kappa_flag_overrides_the_preset(dcr_config, tmp_path):
     assert json.loads(open(out).read())["kappa"] == 1.0
 
 
+def test_simulate_alpha_on_dcr_uses_the_case_study_mu(dcr_config, tmp_path):
+    # simulate, observe and verify read the dcr preset in one X_alpha, at mu = 0
+    from slspectra import (DCRModel, coefficients_of, fractional_space, grid_function,
+                           norm_alpha, solve_spectrum, transformed_problem)
+
+    out = str(tmp_path / "sim.json")
+    assert main(["simulate", dcr_config, "--x0", "1", "--times", "0,0.1", "--alpha", "0.5",
+                 "--modes", "8", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert doc["mu"] == 0.0
+    dec = solve_spectrum(transformed_problem(DCRModel(1.0, 0.75)), N=8)
+    x0 = grid_function(dec.grid, lambda z: np.exp(-z / 2.0))  # x0 = 1 as xi
+    want = norm_alpha(fractional_space(dec, 0.5, mu=0.0), coefficients_of(x0, dec))
+    assert doc["norms_alpha"][0] == pytest.approx(want, rel=1e-12)
+
+
 def test_simulate_verify_steps_on_between_times(dcr_config, tmp_path, monkeypatch):
     # the oracle continues from the previous time instead of restarting at 0
     spans = []
@@ -299,6 +315,14 @@ def test_observe_z0_defaults_to_the_left_end(tmp_path, capsys):
     syn.write_text(json.dumps({"values": [0.5, 0.3]}))
     assert main(["observe", "--synthetic", str(syn)]) == 0
     assert json.loads(capsys.readouterr().out)["z0"] == 0.0
+
+
+def test_observe_synthetic_explicit_z0_wins(tmp_path, capsys):
+    syn = tmp_path / "syn.json"
+    syn.write_text(json.dumps({"values": [0.5, 0.3], "z0": 1.0}))
+    for flags, z0 in (([], 1.0), (["--z0", "0"], 0.0)):
+        assert main(["observe", "--synthetic", str(syn), *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["z0"] == z0
 
 
 @pytest.mark.parametrize(

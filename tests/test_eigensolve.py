@@ -602,20 +602,24 @@ def test_recovery_reads_dense_output(work_counts):
 
 
 class _CosRHS:
-    """theta' = cos z + 0.5: theta(b) = theta(a) + sin b - sin a + (b - a) / 2."""
+    """theta' = w (cos ws + 1/2): theta(s) = theta(0) + sin ws + ws / 2."""
 
     max_step = math.inf
     trig = (np.cos, np.sin)
 
-    def initial_step(self, lams, span):
+    def __init__(self, w=3.0):
+        self.w = w
+
+    def initial_step(self, lams):
         return 0.01
 
     def tables(self, zs, lams):
-        W = np.add.outer(np.cos(zs) + 0.5, np.zeros_like(lams))
+        w = self.w
+        W = np.add.outer(w * (np.cos(w * np.array(zs)) + 0.5), np.zeros_like(lams))
         return W, 0.0 * W, 0.0 * W, 0.0 * W
 
-    def exact(self, a, b, theta0):
-        return theta0 + math.sin(b) - math.sin(a) + 0.5 * (b - a)
+    def exact(self, s, theta0):
+        return theta0 + math.sin(self.w * s) + 0.5 * self.w * s
 
 
 def _half(th2, out):
@@ -623,30 +627,33 @@ def _half(th2, out):
 
 
 class _LinearRHS(_CosRHS):
-    """theta' = theta cos z, so the stage arguments matter too: W = 0,
-    G = cos z and T1(2 theta) = theta."""
+    """theta' = w theta cos ws, so the stage arguments matter too: W = 0,
+    G = w cos ws and T1(2 theta) = theta."""
 
     trig = (_half, _half)
 
     def tables(self, zs, lams):
-        G = np.add.outer(np.cos(zs), np.zeros_like(lams))
+        G = np.add.outer(self.w * np.cos(self.w * np.array(zs)), np.zeros_like(lams))
         return 0.0 * G, G, 0.0 * G, G
 
-    def exact(self, a, b, theta0):
-        return theta0 * math.exp(math.sin(b) - math.sin(a))
+    def exact(self, s, theta0):
+        return theta0 * math.exp(math.sin(self.w * s))
 
 
-@pytest.mark.parametrize("rhs", [_CosRHS(), _LinearRHS()], ids=["cos", "linear"])
+@pytest.mark.parametrize("rhs", [_CosRHS, _LinearRHS], ids=["cos", "linear"])
 def test_integrator_closed_form(rhs):
-    a, b, theta0 = 0.0, 3.0, np.array([0.25, 1.0])
-    end = eigensolve._integrate(rhs, np.zeros(2), a, b, theta0, 1e-12)
-    exact = [rhs.exact(a, b, t) for t in theta0]
+    theta0 = np.array([0.25, 1.0])
+    end = eigensolve._integrate(rhs(), np.zeros(2), theta0)
+    exact = [rhs().exact(1.0, t) for t in theta0]
     assert np.max(np.abs(end[0] - exact)) <= 1e-11
-    # the dense output between steps is as accurate as the end state
-    z_out = np.linspace(a, b, 61)[1:]
-    rows = eigensolve._integrate(rhs, np.zeros(2), a, b, theta0, 1e-12, z_out=z_out)
+    # the dense output between steps is as accurate as the end state when
+    # a step of DENSE_MAX_STEP spans w h = 1/8 radian of the solution (w = 1);
+    # at w = 3 it spans 3/8, and the interpolant is off by up to 2.9e-11
+    slow = rhs(1.0)
+    z_out = np.linspace(0.0, 1.0, 61)[1:]
+    rows = eigensolve._integrate(slow, np.zeros(2), theta0, z_out=z_out)
     for zt, row in zip(z_out, rows):
-        assert np.max(np.abs(row[0] - [rhs.exact(a, zt, t) for t in theta0])) <= 1e-11
+        assert np.max(np.abs(row[0] - [slow.exact(zt, t) for t in theta0])) <= 1e-11
 
 
 def test_dop853_tableau_matches_scipy():
@@ -727,32 +734,32 @@ def test_stage_tables_match_pointwise_formulas(form, ncomp):
 
 @pytest.mark.parametrize(
     "z_out, match",
-    [([0.5, 0.2, 3.0], "0.2 follows 0.5"), ([0.5, 3.5], "3.5 is outside"),
+    [([0.5, 0.2, 1.0], "0.2 follows 0.5"), ([0.5, 3.5], "3.5 is outside"),
      ([-0.1, 1.0], "-0.1 is outside")],
 )
 def test_integrate_rejects_bad_z_out(z_out, match):
     with pytest.raises(ValueError, match=match):
-        eigensolve._integrate(_CosRHS(), np.zeros(1), 0.0, 3.0, np.zeros(1), 1e-12, z_out=z_out)
+        eigensolve._integrate(_CosRHS(), np.zeros(1), np.zeros(1), z_out=z_out)
 
 
 class _NaNRHS(eigensolve._PlainRHS):
-    """Finite up to z = 1, NaN past it; z and lambda are the caller's."""
+    """Finite up to z = 1/3, NaN past it; z and lambda are the caller's."""
 
     def __init__(self):
         unit = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 1.0), (0.0, 1.0))
         super().__init__(eigensolve._UnitMap(unit))
 
     def tables(self, zs, lams):
-        W = np.add.outer(np.where(np.array(zs) <= 1.0, 1.0, math.nan), np.zeros_like(lams))
+        W = np.add.outer(np.where(np.array(zs) <= 1.0 / 3.0, 1.0, math.nan), np.zeros_like(lams))
         return W, 0.0 * W, W, 0.0 * W
 
 
 def test_step_underflow_names_where():
     with pytest.raises(RuntimeError) as info:
-        eigensolve._integrate(_NaNRHS(), np.array([2.0, 5.0]), 0.0, 3.0, np.zeros(2), 1e-12)
+        eigensolve._integrate(_NaNRHS(), np.array([2.0, 5.0]), np.zeros(2))
     msg = str(info.value)
     assert msg.startswith("plain Pruefer ODE step size underflow"), msg
     assert "lambda in [2.0, 5.0]" in msg, msg
     z = float(re.search(r"z=(\S+),", msg).group(1))
     h = float(re.search(r"h=(\S+),", msg).group(1))
-    assert 0.9 < z <= 1.0 and 0.0 < h < 3e-14, msg  # 1e-14 * max(1, |z1|)
+    assert 0.3 < z <= 1.0 / 3.0 and 0.0 < h < 1e-14, msg
