@@ -18,8 +18,9 @@ is the form of the transformed operator, core.form_inner_product at D = 1
 and mu = 0:
 <f, g>_{1/2} = f(1) g(1) / 2 + f(0) g(0) / 2 + int f' g',
 equivalent to the full H^1 inner product with lower constant 1/8, which
-norm_equivalence computes by Rayleigh-Ritz through the form over the span
-of trig_corpus (poincare_check likewise the Poincare constant, bound 1/4),
+norm_equivalence computes by Rayleigh-Ritz from the form's Gram matrices
+over the span of the trig_corpus family (poincare_check likewise the
+Poincare constant, bound 1/4),
 and the point observations phi_{n,1/2}(0), phi_{n,1/2}(1) are nonzero for
 every n, the modal test for infinite-time approximate observability.
 observability_test reads these traces from a solved decomposition of any
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import Literal, Optional, Tuple
 
 import numpy as np
 
@@ -199,41 +200,30 @@ def solve_case_study(model: DCRModel, N: int) -> CaseStudySpectrum:
     return CaseStudySpectrum(roots, -roots * roots, k, N)
 
 
-def closed_form_eigenfunction(
-    spec: CaseStudySpectrum, n: int, grid: Grid
-) -> GridFunction:
-    """phi_n(z) = k_n [cos(s_n z) + sin(s_n z)/(2 s_n)] with exact derivatives."""
-    if not 1 <= n <= spec.N:
+def closed_form_eigenfunction(spec: CaseStudySpectrum, n, grid: Grid) -> GridFunction:
+    """phi_n(z) = k_n [cos(s_n z) + sin(s_n z)/(2 s_n)] with exact derivatives;
+    for an array of indices n, the family of those modes."""
+    n = np.asarray(n)
+    if not np.all((1 <= n) & (n <= spec.N)):
         raise ValueError("mode index out of range")
-    s = float(spec.s[n - 1])
-    k = float(spec.k[n - 1])
-
-    def val(z):
-        return k * (np.cos(s * z) + np.sin(s * z) / (2.0 * s))
-
-    def dval(z):
-        return k * (-s * np.sin(s * z) + np.cos(s * z) / 2.0)
-
-    z = grid.nodes
-    values = val(z)
-    return GridFunction(grid, values, deriv=dval(z), deriv2=-s * s * values)
+    # a trailing axis, so an array of indices gives one row per mode
+    s, k = spec.s[n - 1][..., None], spec.k[n - 1][..., None]
+    cos, sin = np.cos(s * grid.nodes), np.sin(s * grid.nodes)
+    values = k * (cos + sin / (2.0 * s))
+    return GridFunction(grid, values, deriv=k * (-s * sin + cos / 2.0), deriv2=-s * s * values)
 
 
-def _ritz_extremes(num, den, corpus: Sequence[GridFunction]) -> Tuple[float, float]:
-    """Smallest and largest num(f, f) / den(f, f) over f in span(corpus).
+def _ritz_extremes(A: np.ndarray, B: np.ndarray) -> Tuple[float, float]:
+    """Smallest and largest a(f, f) / b(f, f) over f in the span of a corpus,
+    given the corpus's Gram matrices A of a and B of b.
 
     By the Courant-Fischer min-max principle these are the extreme
-    eigenvalues of the pencil of Gram matrices (A, B), those of L^-1 A L^-T
-    with B = L L^T.  Only the upper triangles are evaluated.
+    eigenvalues of the pencil (A, B), those of L^-1 A L^-T with B = L L^T.
+    The factorizations read only the lower triangles of the Grams.
     """
-    n = len(corpus)
+    n = len(B) if np.ndim(B) == 2 else 0
     if n == 0:
-        raise ValueError("corpus must be nonempty")
-    A, B = np.zeros((2, n, n))
-    for i, f in enumerate(corpus):
-        for j in range(i, n):
-            A[i, j], B[i, j] = num(f, corpus[j]), den(f, corpus[j])
-    A, B = (M + np.triu(M, 1).T for M in (A, B))
+        raise ValueError("corpus must be a nonempty family")
     try:
         # numpy's rank rule first: a repeated member can leave a tiny positive pivot
         if np.linalg.matrix_rank(B, hermitian=True) < n:
@@ -245,7 +235,7 @@ def _ritz_extremes(num, den, corpus: Sequence[GridFunction]) -> Tuple[float, flo
     return float(ev[0]), float(ev[-1])
 
 
-def poincare_check(corpus: Sequence[GridFunction]) -> float:
+def poincare_check(corpus: GridFunction) -> float:
     """The Poincare constant min (x(0)^2 / 2 + ||x'||^2) / ||x||^2 over span(corpus).
 
     The numerator is a_0 of p = rho = 1, q = 0, Robin (1, -1/2) at 0 and
@@ -253,8 +243,8 @@ def poincare_check(corpus: Sequence[GridFunction]) -> float:
     s tan s = 1/2 (0.4268).
     """
     prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, -0.5), (1.0, 0.0))
-    return _ritz_extremes(lambda f, g: form_inner_product(prob, f, g),
-                          lambda f, g: inner_product_rho(f, g, prob.rho), corpus)[0]
+    return _ritz_extremes(form_inner_product(prob, corpus, corpus),
+                          inner_product_rho(corpus, corpus, prob.rho))[0]
 
 
 @dataclass(frozen=True)
@@ -264,7 +254,7 @@ class EquivalenceReport:
     corpus_size: int
 
 
-def norm_equivalence(corpus: Sequence[GridFunction]) -> EquivalenceReport:
+def norm_equivalence(corpus: GridFunction) -> EquivalenceReport:
     """Extremes of ||x||^2_{1/2} / ||x||^2_{H^1} over span(corpus).
 
     ||x||^2_{1/2} = x(1)^2 / 2 + x(0)^2 / 2 + ||x'||^2 is a_0 of the
@@ -274,18 +264,18 @@ def norm_equivalence(corpus: Sequence[GridFunction]) -> EquivalenceReport:
     """
     dcr = transformed_problem(DCRModel(1.0, 1.0))
     neumann = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
-    lo, hi = _ritz_extremes(lambda f, g: form_inner_product(dcr, f, g),
-                            lambda f, g: form_inner_product(neumann, f, g, mu=1.0), corpus)
-    return EquivalenceReport(lo, hi, len(corpus))
+    lo, hi = _ritz_extremes(form_inner_product(dcr, corpus, corpus),
+                            form_inner_product(neumann, corpus, corpus, mu=1.0))
+    return EquivalenceReport(lo, hi, len(corpus.values))
 
 
-def trig_corpus(grid: Grid, size: int) -> List[GridFunction]:
-    """cos(k pi z), k = 0 .. size - 1, with exact derivatives: the Neumann
-    eigenfunctions, an orthogonal basis of H^1(0, 1), so their Gram matrices
-    stay well conditioned."""
+def trig_corpus(grid: Grid, size: int) -> GridFunction:
+    """The family cos(k pi z), k = 0 .. size - 1, with exact derivatives: the
+    Neumann eigenfunctions, an orthogonal basis of H^1(0, 1), so their Gram
+    matrices stay well conditioned."""
     w = np.arange(size)[:, None] * math.pi
     c, s = np.cos(w * grid.nodes), np.sin(w * grid.nodes)
-    return [GridFunction(grid, *rows) for rows in zip(c, -w * s, -w * w * c)]
+    return GridFunction(grid, c, -w * s, -w * w * c)
 
 
 @dataclass(frozen=True)

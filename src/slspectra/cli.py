@@ -31,10 +31,12 @@ from .core import (
     GridFunction,
     Interval,
     SLProblem,
+    apply_operator,
     bc_residual,
     find_root,
     form_inner_product,
     grid_function,
+    inner_product_rho,
     make_grid,
 )
 from .expressions import parse_coeff
@@ -68,6 +70,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_TOLERANCE = 2
 
+# the interval and each boundary-condition pair: two numbers
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "slspectra problem config",
@@ -77,27 +82,12 @@ CONFIG_SCHEMA = {
             "required": ["interval", "p", "q", "rho", "bc_a", "bc_b"],
             "additionalProperties": False,
             "properties": {
-                "interval": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
+                "interval": _PAIR,
                 "p": {"type": "string"},
                 "q": {"type": "string"},
                 "rho": {"type": "string"},
-                "bc_a": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "bc_b": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
+                "bc_a": _PAIR,
+                "bc_b": _PAIR,
             },
         },
         {
@@ -214,16 +204,14 @@ def cmd_eigs(args, argv) -> int:
     N = args.modes
     tolerances = {"orthonormality": 1e-6, "bc_residual": 1e-8}
     dec = solve_spectrum(prob, N=N)
-    V = dec.values
-    W = prob.rho(dec.grid.nodes) * dec.grid.weights
-    gram_err = float(np.max(np.abs((V * W) @ V.T - np.eye(N))))
-    res = np.abs([bc_residual(prob, f) for f in dec.eigenfunctions])
+    gram_err = float(np.max(np.abs(inner_product_rho(dec.modes, dec.modes, prob.rho) - np.eye(N))))
+    res = np.abs(bc_residual(prob, dec.modes))
     max_bc = float(res.max())
     doc = dec.to_dict()
     doc["residuals"] = {
         "orthonormality": gram_err,
-        "bc_a": res[:, 0].tolist(),
-        "bc_b": res[:, 1].tolist(),
+        "bc_a": res[0].tolist(),
+        "bc_b": res[1].tolist(),
     }
     if model is not None:
         spec = solve_case_study(model, N) if model.D == 1.0 else None
@@ -365,8 +353,7 @@ def _suite_eigs(seed: int):
     spec = solve_case_study(model, 10)
     gap = float(np.max(np.abs(dec2.eigenvalues - spec.lam)))
     checks.append(("dcr_transformed_vs_closed_1e-8", gap <= 1e-8, gap))
-    res = [bc_residual(tprob, f) for f in dec2.eigenfunctions]
-    mx = float(max(max(abs(a), abs(b)) for a, b in res))
+    mx = float(np.max(np.abs(bc_residual(tprob, dec2.modes))))
     checks.append(("bc_residuals_1e-8", mx <= 1e-8, mx))
     return checks
 
@@ -384,6 +371,16 @@ def _suite_fracspace(seed: int):
             lhs, rhs = scaling_identity_check(fs, c, n)
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     checks.append(("scaling_identity_rel_1e-10", worst <= 1e-10, worst))
+    # the same theorem as Grams, without modal sums, at mu = gamma + 1: the rescaled
+    # bases are orthonormal in a_mu (X_{1/2}) and in <(mu - A) ., (mu - A) .>_rho (X_1)
+    prob, fs = dec.problem, fractional_space(dec, 1.0)
+    half, one = rescaled_basis(fractional_space(dec, 0.5)), rescaled_basis(fs)
+    shifted = GridFunction(dec.grid, fs.mu * one.values - apply_operator(prob, one).values)
+    grams = {"x_half_form_gram_1e-10": form_inner_product(prob, half, half, fs.mu),
+             "x_one_operator_gram_1e-10": inner_product_rho(shifted, shifted, prob.rho)}
+    for name, gram in grams.items():
+        err = float(np.max(np.abs(gram - np.eye(dec.N))))
+        checks.append((name, err <= 1e-10, err))
     return checks
 
 
@@ -418,17 +415,14 @@ def _suite_casestudy(seed: int):
     res = float(spec.residuals().max())
     checks.append(("char_residual_1e-10", res <= 1e-10, res))
     grid = make_grid(Interval(0.0, 1.0), panels=96)
-    nrm_err = 0.0
-    for n in range(1, 21):
-        phi = closed_form_eigenfunction(spec, n, grid)
-        nrm_err = max(nrm_err, abs(math.sqrt(float(np.dot(phi.values ** 2, grid.weights))) - 1.0))
+    phi = closed_form_eigenfunction(spec, np.arange(1, 21), grid)
+    nrm_err = float(np.max(np.abs(np.sqrt(phi.values ** 2 @ grid.weights) - 1.0)))
     checks.append(("kn_normalization_1e-8", nrm_err <= 1e-8, nrm_err))
     # the solver's rescaled basis (mu = 0), checked against the closed forms
     prob = transformed_problem(model)
     fs = _fractional_space(solve_spectrum(prob, N=20), 0.5, model)
     half = rescaled_basis(fs)
-    G = np.array([[form_inner_product(prob, f, g, fs.mu) for g in half] for f in half])
-    gerr = float(np.max(np.abs(G - np.eye(20))))
+    gerr = float(np.max(np.abs(form_inner_product(prob, half, half, fs.mu) - np.eye(20))))
     checks.append(("h1_gram_identity_1e-6", gerr <= 1e-6, gerr))
     corpus = trig_corpus(grid, 16)  # Ritz constants over 16 Neumann cosines
     c = poincare_check(corpus)

@@ -5,6 +5,10 @@ Everything here is plain data plus pure functions.  The grid is a composite
 Gauss-Legendre rule (P panels of g points) with the interval ends a and b
 added as its first and last nodes, each with quadrature weight 0, so every
 sampled function carries its boundary values in its own arrays.
+
+A GridFunction holds one function, or a family of k functions as (k, nodes)
+rows.  The products, the form and the boundary readings take either: a
+scalar for two functions, else a vector or the Gram matrix of two families.
 """
 
 from __future__ import annotations
@@ -104,17 +108,20 @@ def make_grid(interval: Interval, panels: int = DEFAULT_PANELS) -> Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
+    """Values of shape (nodes,) for one function, or (..., nodes) for a
+    family whose members are the rows; deriv and deriv2 have the same shape."""
+
     grid: Grid
     values: np.ndarray
     deriv: Optional[np.ndarray] = None
     deriv2: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.values.shape != self.grid.nodes.shape:
+        if self.values.shape[-1:] != self.grid.nodes.shape:
             raise ValueError("values shape does not match grid")
         for d in (self.deriv, self.deriv2):
-            if d is not None and d.shape != self.grid.nodes.shape:
-                raise ValueError("derivative grid shape does not match grid")
+            if d is not None and d.shape != self.values.shape:
+                raise ValueError("derivative grid shape does not match values")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -124,13 +131,10 @@ class GridFunction:
     def weights(self) -> np.ndarray:
         return self.grid.weights
 
-    def scaled(self, c: float) -> "GridFunction":
-        return GridFunction(
-            self.grid,
-            c * self.values,
-            None if self.deriv is None else c * self.deriv,
-            None if self.deriv2 is None else c * self.deriv2,
-        )
+    def scaled(self, c) -> "GridFunction":
+        """c times the function; a column c of shape (k, 1) scales a family row by row."""
+        arrays = (self.values, self.deriv, self.deriv2)
+        return GridFunction(self.grid, *(None if x is None else c * x for x in arrays))
 
 
 def grid_function(
@@ -213,12 +217,12 @@ def integrate(f: GridFunction) -> float:
     return float(np.dot(f.values, f.weights))
 
 
-def inner_product_rho(f: GridFunction, g: GridFunction, rho: CoeffExpr) -> float:
-    """<f, g>_rho = integral of f * g * rho over the shared grid."""
+def inner_product_rho(f: GridFunction, g: GridFunction, rho: CoeffExpr):
+    """<f, g>_rho = integral of f * g * rho over the shared grid, for every
+    pair of members: a scalar, a vector, or the Gram matrix of two families."""
     if not f.grid.same_as(g.grid):
         raise GridMismatchError("inner_product_rho requires a shared grid")
-    # f*g is computed first, so the summation order is symmetric in (f, g)
-    return float(np.dot(f.values * g.values, rho(f.nodes) * f.weights))
+    return np.inner(f.values * (rho(f.nodes) * f.weights), g.values)
 
 
 def norm_rho(f: GridFunction, rho: CoeffExpr) -> float:
@@ -229,14 +233,15 @@ def norm_rho(f: GridFunction, rho: CoeffExpr) -> float:
 # Boundary evaluation: the first and last grid nodes are a and b
 
 
-def boundary_values(f: GridFunction) -> Tuple[float, float]:
-    return float(f.values[0]), float(f.values[-1])
+def boundary_values(f: GridFunction):
+    """f(a) and f(b): the first and last node columns, scalars for one function."""
+    return np.take(f.values, 0, axis=-1), np.take(f.values, -1, axis=-1)
 
 
-def boundary_derivatives(f: GridFunction) -> Tuple[float, float]:
+def boundary_derivatives(f: GridFunction):
     if f.deriv is None:
         raise MissingDerivativeError("no derivative grid")
-    return float(f.deriv[0]), float(f.deriv[-1])
+    return np.take(f.deriv, 0, axis=-1), np.take(f.deriv, -1, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +263,9 @@ def apply_operator(prob: SLProblem, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, values)
 
 
-def bc_residual(prob: SLProblem, f: GridFunction) -> Tuple[float, float]:
-    """Residuals of the Robin conditions at both endpoints (zero on D(A))."""
+def bc_residual(prob: SLProblem, f: GridFunction):
+    """Residuals of the Robin conditions at both endpoints (zero on D(A)),
+    one per member of a family."""
     fa, fb = boundary_values(f)
     dfa, dfb = boundary_derivatives(f)
     ra = prob.bc_a[0] * dfa + prob.bc_a[1] * fa
@@ -267,29 +273,30 @@ def bc_residual(prob: SLProblem, f: GridFunction) -> Tuple[float, float]:
     return ra, rb
 
 
-def form_inner_product(
-    prob: SLProblem, f: GridFunction, g: GridFunction, mu: float = 0.0
-) -> float:
+def form_inner_product(prob: SLProblem, f: GridFunction, g: GridFunction, mu: float = 0.0):
     """The form of mu - A: a_mu(f, g) = int (p f' g' + (q + mu rho) f g)
     + p(b) (beta_b / alpha_b) f(b) g(b) - p(a) (beta_a / alpha_a) f(a) g(a).
 
     A Dirichlet end (alpha = 0) adds no term.  Integration by parts gives
     a_mu(f, f) = <(mu - A) f, f>_rho on D(A); for mu above the spectrum a_mu
     is the inner product of X_{1/2}, the form domain of mu - A.  The boundary
-    terms read p, f and g at the grid's end nodes, which are a and b.
+    terms read p, f and g at the grid's end nodes, which are a and b.  Like
+    inner_product_rho it pairs every member of f with every member of g.
     """
     if not f.grid.same_as(g.grid):
         raise GridMismatchError("form_inner_product requires a shared grid")
     if f.deriv is None or g.deriv is None:
         raise MissingDerivativeError("form_inner_product needs derivative grids")
-    z = f.nodes
+    z, w = f.nodes, f.weights
     p = prob.p(z)
-    form = 0.0
-    for end, (alpha, beta), sign in ((-1, prob.bc_b, 1.0), (0, prob.bc_a, -1.0)):
+    form = (np.inner(f.deriv * (p * w), g.deriv)
+            + np.inner(f.values * ((prob.q(z) + mu * prob.rho(z)) * w), g.values))
+    ends = zip((-1.0, 1.0), (prob.bc_a, prob.bc_b), (p[0], p[-1]),
+               boundary_values(f), boundary_values(g))
+    for sign, (alpha, beta), p_end, f_end, g_end in ends:
         if alpha != 0.0:
-            form += sign * p[end] * (beta / alpha) * f.values[end] * g.values[end]
-    bulk = p * f.deriv * g.deriv + (prob.q(z) + mu * prob.rho(z)) * f.values * g.values
-    return float(form + np.dot(bulk, f.weights))
+            form += sign * p_end * (beta / alpha) * np.multiply.outer(f_end, g_end)
+    return form
 
 
 # ---------------------------------------------------------------------------

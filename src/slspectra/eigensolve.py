@@ -76,6 +76,7 @@ from .core import (
     GridFunction,
     GridMismatchError,
     SLProblem,
+    inner_product_rho,
     make_grid,
 )
 from .expressions import compile_scalar
@@ -528,12 +529,15 @@ class SpectralDecomposition:
         return float(self.eigenvalues[0])
 
     @property
+    def modes(self) -> GridFunction:
+        """All N modes as one family, a view on values, deriv and deriv2."""
+        return GridFunction(self.grid, self.values, self.deriv, self.deriv2)
+
+    @property
     def eigenfunctions(self) -> List[GridFunction]:
         """phi_n as GridFunctions whose arrays are views on the mode rows."""
-        return [
-            GridFunction(self.grid, v, d, d2)
-            for v, d, d2 in zip(self.values, self.deriv, self.deriv2)
-        ]
+        rows = zip(self.values, self.deriv, self.deriv2)
+        return [GridFunction(self.grid, *row) for row in rows]
 
     def values_matrix(self) -> np.ndarray:
         """The (N, nodes) mode matrix values itself, not a copy."""
@@ -828,14 +832,14 @@ def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
 
 
 def coefficients_of(f: GridFunction, dec: SpectralDecomposition) -> ModalCoefficients:
-    """c_n = <f, phi_n>_rho for every computed mode."""
+    """c_n = <f, phi_n>_rho for every computed mode, of one function."""
     if not f.grid.same_as(dec.grid):
         raise GridMismatchError("function is not on the decomposition grid")
+    if f.values.ndim != 1:
+        raise ValueError("coefficients_of projects one function, not a family")
     if not np.all(np.isfinite(f.values)):
         raise ValueError("function values must be finite at the grid nodes")
-    wrho = dec.grid.weights * dec.problem.rho(dec.grid.nodes)
-    coeffs = dec.values @ (wrho * f.values)
-    return ModalCoefficients(coeffs, dec)
+    return ModalCoefficients(inner_product_rho(f, dec.modes, dec.problem.rho), dec)
 
 
 def synthesize(c: ModalCoefficients) -> GridFunction:

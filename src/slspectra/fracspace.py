@@ -4,14 +4,15 @@ With mu above the whole spectrum, (mu I - A)^alpha acts diagonally on modal
 coefficients with the positive weights (mu - lambda_n)^alpha.  The space
 X_alpha carries <f, g>_alpha = sum (mu - lambda_n)^(2 alpha) f_n g_n, and
 the rescaled eigenfunctions (mu - lambda_n)^(-alpha) phi_n are orthonormal
-in it.
+in it.  rescaled_basis returns them as one family, so that its Gram matrix
+in a_mu (X_{1/2}) or in <(mu - A) f, (mu - A) g>_rho (X_1) is one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -44,8 +45,9 @@ class FractionalSpace:
     def __post_init__(self):
         if not 0.0 < self.alpha <= MAX_ALPHA:
             raise ValueError(f"alpha must lie in (0, {MAX_ALPHA}]")
-        if not self.mu > self.dec.gamma:
-            raise ValueError("mu must exceed the largest eigenvalue")
+        if not (math.isfinite(self.mu) and self.mu > self.dec.gamma):
+            raise ValueError(
+                f"mu must be finite and exceed the largest eigenvalue, got mu = {self.mu!r}")
 
     @property
     def epsilon(self) -> float:
@@ -139,6 +141,8 @@ def in_domain_alpha(fs: FractionalSpace, c: ModalCoefficients) -> TailReport:
     mu gives an equivalent norm; mu = 0 sums lambda_n^2 c_n^2).
     """
     _check_same(fs, c)
+    if not np.all(np.isfinite(c.coefficients)):
+        raise ValueError("coefficients must be finite")
     summands = fs.weights(2.0 * fs.alpha) * c.coefficients ** 2
     return _tail_verdict(summands, float(np.sum(summands)))
 
@@ -158,10 +162,9 @@ def norm_alpha(fs: FractionalSpace, f: ModalCoefficients) -> float:
     return math.sqrt(max(inner_product_alpha(fs, f, f), 0.0))
 
 
-def rescaled_basis(fs: FractionalSpace) -> List[GridFunction]:
-    """phi_{n,alpha} = (mu - lambda_n)^(-alpha) phi_n as grid functions."""
-    scale = fs.weights(-fs.alpha)
-    return [f.scaled(float(s)) for f, s in zip(fs.dec.eigenfunctions, scale)]
+def rescaled_basis(fs: FractionalSpace) -> GridFunction:
+    """phi_{n,alpha} = (mu - lambda_n)^(-alpha) phi_n as one family, row n - 1."""
+    return fs.dec.modes.scaled(fs.weights(-fs.alpha)[:, None])
 
 
 def scaling_identity_check(

@@ -140,12 +140,21 @@ def test_h1_gram_identity(model, cs_spec50, std_grid):
     # the form of the transformed operator at mu = 0 makes {phi_n / s_n}
     # orthonormal: the computational witness that X_{1/2} carries the H^1 norm
     prob = transformed_problem(model)
-    half = [
-        closed_form_eigenfunction(cs_spec50, n, std_grid).scaled(1.0 / float(cs_spec50.s[n - 1]))
-        for n in range(1, 21)
-    ]
-    G = np.array([[form_inner_product(prob, f, g) for g in half] for f in half])
+    half = closed_form_eigenfunction(cs_spec50, np.arange(1, 21), std_grid)
+    half = half.scaled(1.0 / cs_spec50.s[:20, None])
+    G = form_inner_product(prob, half, half)
     assert np.max(np.abs(G - np.eye(20))) < 1e-6
+
+
+def test_closed_form_family_rows_are_the_single_modes(cs_spec50, std_grid):
+    family = closed_form_eigenfunction(cs_spec50, np.array([3, 1, 7]), std_grid)
+    for row, n in enumerate((3, 1, 7)):
+        one = closed_form_eigenfunction(cs_spec50, n, std_grid)
+        assert one.values.shape == std_grid.nodes.shape
+        for name in ("values", "deriv", "deriv2"):
+            assert np.array_equal(getattr(family, name)[row], getattr(one, name))
+    with pytest.raises(ValueError, match="out of range"):
+        closed_form_eigenfunction(cs_spec50, np.array([1, 51]), std_grid)
 
 
 def _form_pair(prob, f):
@@ -199,38 +208,57 @@ def test_rescaled_basis_orthonormal_under_form(form_decs):
     for name in ("p1z2", "weighted_dcr", "dirichlet_robin"):
         fs = fractional_space(form_decs[name], 0.5)
         half = rescaled_basis(fs)
-        G = np.array([[form_inner_product(fs.dec.problem, f, g, fs.mu) for g in half] for f in half])
+        G = form_inner_product(fs.dec.problem, half, half, fs.mu)
         assert np.max(np.abs(G - np.eye(20))) <= 1e-10, name
+
+
+def test_central_theorem_as_grams_on_variable_coefficients(form_decs):
+    # X_{1/2} through the form a_mu and X_1 = D(A) through
+    # <(mu - A) f, (mu - A) g>_rho: no modal sums on either side
+    dec = form_decs["p1z2"]
+    prob = dec.problem
+    half = rescaled_basis(fractional_space(dec, 0.5))
+    fs = fractional_space(dec, 1.0)
+    one = rescaled_basis(fs)
+    shifted = GridFunction(dec.grid, fs.mu * one.values - apply_operator(prob, one).values)
+    for G in (form_inner_product(prob, half, half, fs.mu),
+              inner_product_rho(shifted, shifted, prob.rho)):
+        assert G.shape == (20, 20)
+        assert np.max(np.abs(G - np.eye(20))) <= 1e-10
 
 
 def test_poincare_examples(std_grid):
     # on one member the constant is that member's own ratio
     # (x(0)^2 / 2 + ||x'||^2) / ||x||^2: 9/2 over 9 for x = 3, 1 over 1/3 for x = z
-    const = grid_function(std_grid, lambda z: 3 * np.ones_like(z), lambda z: np.zeros_like(z))
-    assert poincare_check([const]) == pytest.approx(0.5, abs=1e-12)
-    lin = grid_function(std_grid, lambda z: z, lambda z: np.ones_like(z))
-    assert poincare_check([lin]) == pytest.approx(3.0, abs=1e-12)
+    const = grid_function(std_grid, lambda z: [3 * np.ones_like(z)], lambda z: [np.zeros_like(z)])
+    assert poincare_check(const) == pytest.approx(0.5, abs=1e-12)
+    assert poincare_check(_one_member_lin(std_grid)) == pytest.approx(3.0, abs=1e-12)
 
 
-def _ratio_pair(model, neumann_problem):
-    """The equivalence ratio's two forms: transformed DCR at mu = 0 over
-    the Neumann problem p = rho = 1 at mu = 1."""
-    dcr = transformed_problem(model)
-    return (lambda f: form_inner_product(dcr, f, f),
-            lambda f: form_inner_product(neumann_problem, f, f, mu=1.0))
+def _one_member_lin(grid):
+    """The family whose one member is x = z."""
+    return grid_function(grid, lambda z: [z], lambda z: [np.ones_like(z)])
+
+
+def _member_ratios(model, neumann_problem, family):
+    """Each member's own equivalence ratio, from the diagonals of two form
+    Grams: transformed DCR at mu = 0 over the Neumann problem p = rho = 1
+    at mu = 1."""
+    num = form_inner_product(transformed_problem(model), family, family)
+    den = form_inner_product(neumann_problem, family, family, mu=1.0)
+    return np.diagonal(num) / np.diagonal(den)
 
 
 def test_poincare_and_equivalence_corpus(model, neumann_problem, std_grid):
     corpus = trig_corpus(std_grid, 16)
-    assert len(corpus) == 16
+    assert corpus.values.shape == corpus.deriv.shape == (16, std_grid.size)
     assert poincare_check(corpus) >= 0.25
     report = norm_equivalence(corpus)
     assert report.min_ratio >= 0.125 - 1e-10
     assert report.max_ratio >= report.min_ratio
     assert report.corpus_size == 16
     # the extremes over the span bound every member's own ratio
-    num, den = _ratio_pair(model, neumann_problem)
-    ratios = np.array([num(f) / den(f) for f in corpus])
+    ratios = _member_ratios(model, neumann_problem, corpus)
     assert np.all(ratios >= report.min_ratio * (1.0 - 1e-12))
     assert np.all(ratios <= report.max_ratio * (1.0 + 1e-12))
 
@@ -249,14 +277,12 @@ def test_poincare_ritz_decreases_to_h1_infimum(std_grid):
 def test_equivalence_extremes_bound_combinations(model, neumann_problem, std_grid):
     corpus = trig_corpus(std_grid, 16)
     report = norm_equivalence(corpus)
-    num, den = _ratio_pair(model, neumann_problem)
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        c = rng.standard_normal(16)
-        f = GridFunction(std_grid, sum(ci * g.values for ci, g in zip(c, corpus)),
-                         deriv=sum(ci * g.deriv for ci, g in zip(c, corpus)))
-        r = num(f) / den(f)
-        assert report.min_ratio * (1.0 - 1e-12) <= r <= report.max_ratio * (1.0 + 1e-12)
+    # 50 random combinations of the corpus, as one family
+    c = np.random.default_rng(11).standard_normal((50, 16))
+    combos = GridFunction(std_grid, c @ corpus.values, deriv=c @ corpus.deriv)
+    r = _member_ratios(model, neumann_problem, combos)
+    assert np.all(report.min_ratio * (1.0 - 1e-12) <= r)
+    assert np.all(r <= report.max_ratio * (1.0 + 1e-12))
 
 
 def test_ritz_rejects_repeated_member(std_grid):
@@ -264,21 +290,21 @@ def test_ritz_rejects_repeated_member(std_grid):
     # so every place is tried
     corpus = trig_corpus(std_grid, 16)
     for k in range(16):
-        dup = corpus + [corpus[k]]
+        rows = np.append(np.arange(16), k)
+        dup = GridFunction(std_grid, corpus.values[rows], corpus.deriv[rows], corpus.deriv2[rows])
         for check in (norm_equivalence, poincare_check):
             with pytest.raises(ValueError, match="linearly dependent"):
                 check(dup)
 
 
 def test_norm_equivalence_linear_example(std_grid):
-    lin = grid_function(std_grid, lambda z: z, lambda z: np.ones_like(z))
-    report = norm_equivalence([lin])
+    report = norm_equivalence(_one_member_lin(std_grid))
     assert report.min_ratio == pytest.approx(9.0 / 8.0, abs=1e-12)
 
 
-def test_norm_equivalence_rejects_empty():
+def test_norm_equivalence_rejects_empty(std_grid):
     with pytest.raises(ValueError):
-        norm_equivalence([])
+        norm_equivalence(trig_corpus(std_grid, 0))
 
 
 def test_observability_both_boundaries(transformed_dec50, cs_spec50):

@@ -17,6 +17,7 @@ from slspectra.core import (
     boundary_derivatives,
     boundary_values,
     find_root,
+    form_inner_product,
     grid_function,
     inner_product_rho,
     integrate,
@@ -190,3 +191,70 @@ def test_constant_division_by_zero_is_named(name):
 def test_bc_tuple_validation():
     with pytest.raises(ValueError):
         SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (0.0, 0.0), (0.0, 1.0))
+
+
+def _random_family(rng, grid, k):
+    """k random members with derivative grids, as one family."""
+    return GridFunction(grid, *rng.standard_normal((3, k, grid.size)))
+
+
+def _members(family):
+    return [GridFunction(family.grid, *rows)
+            for rows in zip(family.values, family.deriv, family.deriv2)]
+
+
+def test_family_products_equal_pairwise_products():
+    prob = SLProblem.from_strings(0.0, 2.0, "1+z^2", "z", "exp(z)", (1.0, -0.5), (1.0, 0.5))
+    g = make_grid(prob.interval, panels=16)
+    rng = np.random.default_rng(5)
+    F, G = _random_family(rng, g, 4), _random_family(rng, g, 3)
+    products = [lambda f, h: inner_product_rho(f, h, prob.rho),
+                lambda f, h: form_inner_product(prob, f, h, mu=2.5)]
+    for product in products:
+        gram = product(F, G)
+        pairwise = np.array([[product(f, h) for h in _members(G)] for f in _members(F)])
+        assert gram.shape == (4, 3)
+        # a few ulps of the Gram's scale: only the summation order differs
+        ulps = 8 * np.finfo(float).eps * np.max(np.abs(pairwise))
+        assert np.max(np.abs(gram - pairwise)) <= ulps
+        # a family against one function gives a vector, two functions a scalar
+        h = _members(G)[1]
+        assert product(F, h).shape == (4,)
+        assert np.max(np.abs(product(F, h) - pairwise[:, 1])) <= ulps
+        assert np.ndim(product(_members(F)[0], h)) == 0
+
+
+def test_family_boundary_readings_and_residuals():
+    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, -0.5), (1.0, 0.5))
+    F = _random_family(np.random.default_rng(6), make_grid(prob.interval, panels=4), 5)
+    members = _members(F)
+    for reading in (boundary_values, boundary_derivatives, lambda f: bc_residual(prob, f)):
+        # (end, member): both ends of every member, as one call per member gives them
+        assert np.array_equal(reading(F), np.transpose([reading(f) for f in members]))
+    # one function still gives two scalars
+    assert all(np.ndim(r) == 0 for r in bc_residual(prob, members[0]))
+
+
+def test_family_checks_grid_derivatives_and_shapes():
+    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
+    rng = np.random.default_rng(7)
+    F = _random_family(rng, make_grid(prob.interval, panels=8), 3)
+    other = _random_family(rng, make_grid(prob.interval, panels=16), 3)
+    with pytest.raises(GridMismatchError):
+        inner_product_rho(F, other, prob.rho)
+    with pytest.raises(GridMismatchError):
+        form_inner_product(prob, F, other)
+    bare = GridFunction(F.grid, F.values)
+    with pytest.raises(MissingDerivativeError):
+        form_inner_product(prob, F, bare)
+    with pytest.raises(MissingDerivativeError):
+        bc_residual(prob, bare)
+    with pytest.raises(MissingDerivativeError):
+        apply_operator(prob, bare)
+    # each derivative grid must have the shape of values, member for member
+    with pytest.raises(ValueError, match="derivative grid shape"):
+        GridFunction(F.grid, F.values, F.deriv[:2])
+    with pytest.raises(ValueError, match="derivative grid shape"):
+        GridFunction(F.grid, F.values, F.deriv, F.deriv2[0])
+    with pytest.raises(ValueError, match="values shape"):
+        GridFunction(F.grid, F.values[:, 1:])

@@ -123,6 +123,13 @@ def test_projection_rejects_non_finite_values(dirichlet_dec):
             coefficients_of(GridFunction(dirichlet_dec.grid, values), dirichlet_dec)
 
 
+def test_projection_rejects_a_family(dirichlet_dec):
+    # ModalCoefficients holds one coefficient vector: fracspace's modal sums
+    # and the semigroup's time broadcast would mix the rows of a family
+    with pytest.raises(ValueError, match="one function"):
+        coefficients_of(dirichlet_dec.modes, dirichlet_dec)
+
+
 def test_synthesize_round_trip(dirichlet_dec):
     rng = np.random.default_rng(5)
     c = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
@@ -145,6 +152,9 @@ def test_mode_array_layout(transformed_dec50):
         assert arr.shape == rows
         assert not arr.flags.writeable
     assert dec.values_matrix() is dec.values
+    modes = dec.modes  # the whole family, without a copy
+    assert modes.grid is dec.grid
+    assert modes.values is dec.values and modes.deriv is dec.deriv and modes.deriv2 is dec.deriv2
     f = dec.eigenfunctions[7]
     for got, arr in ((f.values, dec.values), (f.deriv, dec.deriv), (f.deriv2, dec.deriv2)):
         assert np.shares_memory(got, arr[7]) and not np.shares_memory(got, arr[8])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slspectra.core import inner_product_rho
 from slspectra.eigensolve import ModalCoefficients, coefficients_of
 from slspectra.fracspace import (
     FractionalSpace,
@@ -27,6 +28,13 @@ def test_construction_validation(dirichlet_dec):
         fractional_space(dirichlet_dec, 0.5, mu=dirichlet_dec.gamma - 1.0)
     with pytest.raises(ValueError):
         fractional_space(dirichlet_dec, 0.5, mu=dirichlet_dec.gamma)  # not above spectrum
+
+
+@pytest.mark.parametrize("mu", [np.inf, np.nan])
+def test_non_finite_shift_rejected(dirichlet_dec, mu):
+    # mu = inf would pass mu > gamma and make every weight (mu - lambda_n)^(-alpha) zero
+    with pytest.raises(ValueError, match="mu must be finite .* got mu = "):
+        fractional_space(dirichlet_dec, 0.5, mu=mu)
 
 
 def test_shift_and_explicit_mu(dirichlet_dec):
@@ -104,11 +112,11 @@ def test_rescaled_basis_is_orthonormal_in_alpha(dirichlet_dec, transformed_dec50
     for dec, shift, bound in cases:
         for alpha in (0.25, 0.5, 1.0, 1.5):
             fs = fractional_space(dec, alpha, **shift)
-            # project the rescaled grid functions back and form the alpha-Gram
-            coefs = [coefficients_of(f, dec) for f in rescaled_basis(fs)]
-            G = np.array(
-                [[inner_product_alpha(fs, ci, cj) for cj in coefs] for ci in coefs]
-            )
+            # project the rescaled family back, c_in = <phi_{i,alpha}, phi_n>_rho
+            # as coefficients_of computes it, and form the alpha-Gram
+            # sum (mu - lambda_n)^(2 alpha) c_in c_jn
+            C = inner_product_rho(rescaled_basis(fs), dec.modes, dec.problem.rho)
+            G = (C * fs.weights(2.0 * fs.alpha)) @ C.T
             assert np.max(np.abs(G - np.eye(dec.N))) < bound
 
 
@@ -136,6 +144,15 @@ def test_domain_alpha_tail_verdicts(dirichlet_dec):
     e1 = np.zeros(20)
     e1[0] = 1.0
     assert in_domain_alpha(fs2, ModalCoefficients(e1, dirichlet_dec)).verdict == "in"
+
+
+def test_domain_alpha_rejects_non_finite_coefficients(dirichlet_dec):
+    fs = fractional_space(dirichlet_dec, 0.5)
+    for bad in (np.nan, np.inf):
+        c = np.zeros(20)
+        c[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            in_domain_alpha(fs, ModalCoefficients(c, dirichlet_dec))
 
 
 def test_apply_A_alpha_is_diagonal(dirichlet_dec):
