@@ -214,6 +214,8 @@ class SLProblem:
 
 def integrate(f: GridFunction) -> float:
     """Composite Gauss quadrature: exact for per-panel degree <= 2g-1."""
+    if f.values.ndim != 1:
+        raise ValueError("integrate takes one function, not a family")
     return float(np.dot(f.values, f.weights))
 
 
@@ -226,6 +228,8 @@ def inner_product_rho(f: GridFunction, g: GridFunction, rho: CoeffExpr):
 
 
 def norm_rho(f: GridFunction, rho: CoeffExpr) -> float:
+    if f.values.ndim != 1:
+        raise ValueError("norm_rho takes one function, not a family")
     return float(np.sqrt(max(inner_product_rho(f, f, rho), 0.0)))
 
 

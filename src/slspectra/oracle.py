@@ -6,8 +6,8 @@ the boundary flux (equivalent to second-order ghost-node elimination) and
 half-width boundary cells.  The operator is similar to a symmetric
 tridiagonal matrix via diag(sqrt(rho_i h_i)), which is what fd_eigs
 diagonalizes; fd_eigs_extrapolated combines three meshes into low
-eigenvalues accurate to about 1e-10.  Crank-Nicolson stepping provides the
-trajectory oracle.
+eigenvalues accurate to about 1e-10.  Crank-Nicolson steps that symmetric
+form, one positive-definite tridiagonal solve per step: the trajectory oracle.
 """
 
 from __future__ import annotations
@@ -142,18 +142,19 @@ def fd_eigs_extrapolated(prob: SLProblem, k: int, M: int) -> np.ndarray:
     return lam[0]
 
 
-def crank_nicolson(
-    op: FDOperator, x0: np.ndarray, t: float, dt: float
-) -> np.ndarray:
+def crank_nicolson(op: FDOperator, x0: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Trapezoidal stepping of x' = A_h x from x0 to time t.
 
-    Full steps of dt followed by one fractional step; each step solves the
-    tridiagonal system (I - dt/2 A_h) x+ = (I + dt/2 A_h) x.  The matrix is
-    LU-factored (pivoted, LAPACK gttrf) once per step size, so a step costs
-    one matvec and one gttrs solve.
+    Full steps of dt, then one fractional step, on y = W^(1/2) x (W is
+    cell_weights), where A_h is the symmetric S of symmetric_tridiagonal: a
+    step of tau is y <- 2 (I - tau/2 S)^(-1) y - y = (I - tau/2 S)^(-1) (I + tau/2 S) y.
+    I - tau/2 S is LDL^T-factored without pivots (LAPACK pttrf) once per step
+    size, so a step is one pttrs solve and no matvec.  The factors exist while
+    tau * lambda_max(A_h) < 2, where every CN amplification factor is positive;
+    past that, LinAlgError names tau and the condition.
     """
     from scipy.linalg import LinAlgError
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -164,31 +165,26 @@ def crank_nicolson(
         raise ValueError("x0 shape does not match mesh")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-
-    def stepper(tau):
-        h = tau / 2.0
-        dl, d, du = -h * op.sub[1:], 1.0 - h * op.diag, -h * op.sup[:-1]
-        if not all(np.isfinite(v).all() for v in (dl, d, du)):
-            raise ValueError("I - tau/2 A_h must be finite")
-        lu = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if lu[-1] > 0:
-            raise LinAlgError("singular matrix")
-
-        def step(x):
-            # gttrs on the gttrf factors is the elimination gtsv (and so
-            # solve_banded((1, 1), ...)) performs: bit-identical results
-            return dgttrs(*lu[:-1], x + h * op.matvec(x), overwrite_b=1)[0]
-
-        return step
-
     nfull = int(np.floor(t / dt + 1e-12))
-    if nfull:
-        step = stepper(dt)
-        for _ in range(nfull):
-            x = step(x)
     rem = t - nfull * dt
-    if rem > 1e-14 * max(t, 1.0):
-        x = stepper(rem)(x)
+    runs = [(tau, n) for tau, n in ((dt, nfull), (rem, int(rem > 1e-14 * max(t, 1.0)))) if n]
+    if not runs:
+        return x
+    s_diag, s_off = op.symmetric_tridiagonal()
+    sqrt_w = np.sqrt(op.cell_weights)
+    y = sqrt_w * x
+    for tau, steps in runs:
+        d, e = 1.0 - (tau / 2.0) * s_diag, -(tau / 2.0) * s_off
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise ValueError("I - tau/2 A_h must be finite")
+        d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise LinAlgError(f"I - tau/2 A_h is not positive definite at tau = {tau!r}: "
+                              "Crank-Nicolson needs tau * lambda_max(A_h) < 2")
+        for _ in range(steps):
+            # pttrs on the pttrf factors is what ptsv, and so solveh_banded, computes
+            y = 2.0 * dpttrs(d, e, y)[0] - y
+    x = y / sqrt_w
     if not np.all(np.isfinite(x)):
         raise ValueError("Crank-Nicolson produced non-finite values")
     return x

@@ -204,6 +204,18 @@ def test_simulate_verify_steps_on_between_times(dcr_config, tmp_path, monkeypatc
     assert max(json.loads(open(out).read())["oracle"]["l2_discrepancy"]) <= 1e-3
 
 
+def test_simulate_verify_indefinite_oracle_exits_1(tmp_path, capsys):
+    # A = f'' + 100 f has lambda_max ~ 90, above 2 / dt at dt = 0.1: CN is meaningless
+    cfg = tmp_path / "growth.json"
+    cfg.write_text(json.dumps({"interval": [0, 1], "p": "1", "q": "-100", "rho": "1",
+                               "bc_a": [0, 1], "bc_b": [0, 1]}))
+    assert main(["simulate", str(cfg), "--x0", "z*(1-z)", "--times", "0.2", "--modes", "4",
+                 "--verify", "--oracle-cells", "32", "--oracle-dt", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "tau = 0.1: " in err and "tau * lambda_max(A_h) < 2" in err
+
+
 def test_simulate_bad_times_exits_1(dirichlet_config, capsys):
     assert main(["simulate", dirichlet_config, "--x0", "1", "--times", "0.2,0.1"]) == 1
     assert main(["simulate", dirichlet_config, "--x0", "1", "--times", "nope"]) == 1

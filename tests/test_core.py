@@ -258,3 +258,8 @@ def test_family_checks_grid_derivatives_and_shapes():
         GridFunction(F.grid, F.values, F.deriv, F.deriv2[0])
     with pytest.raises(ValueError, match="values shape"):
         GridFunction(F.grid, F.values[:, 1:])
+    # integrate and norm_rho give one number, so they take one function only
+    with pytest.raises(ValueError, match="integrate takes one function, not a family"):
+        integrate(F)
+    with pytest.raises(ValueError, match="norm_rho takes one function, not a family"):
+        norm_rho(F, prob.rho)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from slspectra.core import SLProblem
 from slspectra.eigensolve import solve_spectrum
@@ -99,8 +99,35 @@ def test_crank_nicolson_fractional_final_step(dirichlet_problem):
     assert op.norm_rho(x - exact) / op.norm_rho(exact) < 1e-6
 
 
+def _steps_to(step, x, t, dt):
+    """Full steps of dt, then one remainder step, as crank_nicolson splits t."""
+    nfull = int(np.floor(t / dt + 1e-12))
+    for _ in range(nfull):
+        x = step(x, dt)
+    rem = t - nfull * dt
+    if rem > 1e-14 * max(t, 1.0):
+        x = step(x, rem)
+    return x
+
+
 def _crank_nicolson_per_step(op, x0, t, dt):
-    """Reference: rebuild and solve the banded system at every step."""
+    """Reference: in y = W^(1/2) x, rebuild and solve the symmetric banded
+    system I - tau/2 S at every step; y+ = 2 (I - tau/2 S)^(-1) y - y."""
+    d, e = op.symmetric_tridiagonal()
+
+    def step(y, tau):
+        ab = np.zeros((2, op.size))
+        ab[0, 1:] = -(tau / 2.0) * e
+        ab[1] = 1.0 - (tau / 2.0) * d
+        return 2.0 * solveh_banded(ab, y) - y
+
+    sqrt_w = np.sqrt(op.cell_weights)
+    return _steps_to(step, sqrt_w * np.array(x0, dtype=float), t, dt) / sqrt_w
+
+
+def _crank_nicolson_general_form(op, x0, t, dt):
+    """Reference: (I - tau/2 A_h) x+ = (I + tau/2 A_h) x, one matvec and one
+    pivoted banded solve per step."""
     def step(x, tau):
         rhs = x + (tau / 2.0) * op.matvec(x)
         ab = np.zeros((3, op.size))
@@ -109,14 +136,7 @@ def _crank_nicolson_per_step(op, x0, t, dt):
         ab[2, :-1] = -(tau / 2.0) * op.sub[1:]
         return solve_banded((1, 1), ab, rhs)
 
-    x = np.array(x0, dtype=float)
-    nfull = int(np.floor(t / dt + 1e-12))
-    for _ in range(nfull):
-        x = step(x, dt)
-    rem = t - nfull * dt
-    if rem > 1e-14 * max(t, 1.0):
-        x = step(x, rem)
-    return x
+    return _steps_to(step, np.array(x0, dtype=float), t, dt)
 
 
 @pytest.mark.parametrize("which", ["dcr", "neumann"])
@@ -132,6 +152,31 @@ def test_crank_nicolson_matches_per_step_solve_exactly(model, which):
     assert np.array_equal(x, _crank_nicolson_per_step(op, x0, 0.0105, 1e-3))
 
 
+@pytest.mark.parametrize("which", ["dcr", "neumann"])
+def test_crank_nicolson_agrees_with_general_form(model, neumann_problem, which):
+    # the symmetric form and the general form differ only in round-off:
+    # 8.2e-15 (dcr) and 8.1e-15 (neumann) relative over these 11 steps
+    op = assemble(transformed_problem(model) if which == "dcr" else neumann_problem, M=200)
+    x0 = np.cos(3.0 * op.nodes) + op.nodes ** 2
+    x = crank_nicolson(op, x0, 0.0105, 1e-3)
+    ref = _crank_nicolson_general_form(op, x0, 0.0105, 1e-3)
+    assert op.norm_rho(x - ref) <= 1e-13 * op.norm_rho(ref)
+
+
+def test_crank_nicolson_high_modes_to_round_off(model):
+    # an FD eigenvector v_k steps to r(tau lambda_k)^n v_k, r(x) = (1 + x/2)/(1 - x/2).
+    # On the six highest modes at tau lambda_k ~ -1600 the symmetric step
+    # stays within 2.2e-16; the general form (matvec + pivoted solve) is off
+    # by 4.8e-15 to 2.8e-14 there
+    op = assemble(dcr_sl_problem(model), M=64)
+    vals, vecs = fd_eigs(op, op.size)
+    tau, n = 0.1, 3
+    for lam, v in zip(vals[-6:], vecs[-6:]):
+        r = (1.0 + tau * lam / 2.0) / (1.0 - tau * lam / 2.0)
+        x = crank_nicolson(op, v, n * tau, tau)
+        assert op.norm_rho(x - r ** n * v) <= 1e-15
+
+
 def test_crank_nicolson_singular_system_raises(dirichlet_problem):
     dt = 1e-3
     n = 20
@@ -142,6 +187,20 @@ def test_crank_nicolson_singular_system_raises(dirichlet_problem):
     assert np.all(1.0 - (dt / 2.0) * op.diag == 0.0)  # I - dt/2 A_h is zero
     with pytest.raises(LinAlgError):
         crank_nicolson(op, np.ones(n), 0.01, dt)
+
+
+def test_crank_nicolson_indefinite_system_names_tau():
+    # A = f'' + 1000 f: lambda_max(A_h) ~ 990, so I - tau/2 A_h is indefinite
+    # at tau = 1e-2 (CN's factor on the top mode is negative) and positive
+    # definite at tau = 1e-3
+    prob = SLProblem.from_strings(0.0, 1.0, "1", "-1000", "1", (0.0, 1.0), (0.0, 1.0))
+    op = assemble(prob, M=32)
+    x0 = np.sin(math.pi * op.nodes)
+    lam_max = fd_eigs(op, 1)[0][0]
+    assert 1e-3 * lam_max < 2.0 < 1e-2 * lam_max
+    with pytest.raises(LinAlgError, match=r"tau = 0\.01: .*tau \* lambda_max\(A_h\) < 2"):
+        crank_nicolson(op, x0, 0.1, 1e-2)
+    assert np.all(np.isfinite(crank_nicolson(op, x0, 0.01, 1e-3)))
 
 
 def test_crank_nicolson_rejects_non_finite_state(dirichlet_problem):
