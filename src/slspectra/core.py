@@ -13,6 +13,7 @@ scalar for two functions, else a vector or the Gram matrix of two families.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -94,8 +95,8 @@ class Grid:
 def make_grid(interval: Interval, panels: int = DEFAULT_PANELS) -> Grid:
     """panels Gauss-Legendre panels of DEFAULT_POINTS nodes each, between a
     and b as the first and last nodes, which have weight 0."""
-    if panels < 1:
-        raise ValueError("need panels >= 1")
+    if not isinstance(panels, numbers.Integral) or panels < 1:
+        raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
     x, w = np.polynomial.legendre.leggauss(DEFAULT_POINTS)
     a, b = interval.a, interval.b
     h = interval.length / panels

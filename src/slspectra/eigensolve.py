@@ -23,9 +23,14 @@ The scaled form removes the fast oscillation from the right-hand side (for
 constant coefficients theta' is exactly omega), which is what makes high
 eigenvalue indices affordable.  In both forms theta(b; L) increases through
 the boundary-angle targets one pi per index, so every eigenvalue is found by
-bracketed iteration on the phase miss with its index guaranteed.  A round
-of that search costs one integration whatever its batch width, so rounds,
-not lambda values, are what it saves (multi-point search, as in SLEIGN2 and
+bracketed iteration on the phase miss with its index guaranteed.  The
+brackets of all indices come from one ladder of L values, shot together for
+index 0: min(q/rho) - 1, the Weyl guesses and a point above them.  While
+its lowest miss is not negative, or its highest not above pi (N - 1), that
+edge is pushed out, both edges in one shot; index k's bracket is then the
+pair of adjacent ladder points whose misses straddle k pi.  A round of the
+search costs one integration whatever its batch width, so rounds, not
+lambda values, are what it saves (multi-point search, as in SLEIGN2 and
 Pryce 1993, ch. 5): each open bracket evaluates a root estimate and a fan
 of points around it, then keeps the tightest sign change among them.  The
 estimate interpolates the inverse of the miss through the bracket ends and
@@ -52,7 +57,7 @@ The eigenvalue search never asks for dense output.
 The solver works in units-free variables (Pryce 1993, ch. 5): with
 ell = b - a, P = p(a) and R = rho(a) it solves for s = (z - a)/ell, p/P,
 rho/R, q ell^2/P and L R ell^2/P, with each Robin alpha divided by ell
-(_UnitMap).  Every constant above (the margin of 1 in L*, the scan window,
+(_UnitMap).  Every constant above (the margin of 1 in L*, the ladder,
 the stopping rule, the step sizes, ODE_RTOL) then acts on dimensionless
 quantities, so a dilated or reweighted problem costs what its unit problem
 costs.  Eigenvalues and eigenfunctions are mapped back once, on exit, as
@@ -63,8 +68,8 @@ map is exactly the identity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from operator import mul
 from typing import List
 
 import numpy as np
@@ -98,7 +103,7 @@ ROOT_RTOL = 1e-13
 ODE_RTOL = 1e-12
 # Fan points on each side of the root estimate in each search round.
 FAN = 4
-# Either edge of the bracketing scan is pushed out at most this many times.
+# Either edge of the bracketing ladder is pushed out at most this many times.
 MAX_BRACKET_EXPANSIONS = 60
 # |lambda| <= ZERO_EIGENVALUE_TOL reads as lambda = 0: ten stopping
 # tolerances, where max(1, |lambda|) = 1.
@@ -270,9 +275,8 @@ def _contd8(theta, y, ynew, h, K):
 
 def _tables(rhs, zs, lams, ncomp):
     """(base, slope), each (len(zs), ncomp, n): the first ncomp of [W, C] and
-    [G, D] of rhs at the points zs (an array) for each lambda.  rhs.tables
-    gets the points as Python floats, the scalar evaluator's input."""
-    W, G, C, D = rhs.tables(zs.tolist(), lams)
+    [G, D] of rhs at the points zs (an array) for each lambda."""
+    W, G, C, D = rhs.tables(zs, lams)
     if ncomp == 1:
         return W[:, None], G[:, None]
     return np.stack((W, C), 1), np.stack((G, D), 1)
@@ -295,7 +299,7 @@ def _integrate(rhs, lams, theta0, z_out=None):
     per-component error, so a member's result depends, to within the
     tolerance, on which other members share its batch.  Steps are at most
     rhs.max_step long, and with z_out at most DENSE_MAX_STEP.  Returns the
-    final angles (1, n), or with z_out (a sorted sequence in [0, 1]) the
+    final angles (1, n), or with z_out (a sorted array in [0, 1]) the
     angles and log amplitudes (len(z_out), 2, n) there, read off the
     continuous extension of the steps taken towards 1.
     """
@@ -311,16 +315,6 @@ def _integrate(rhs, lams, theta0, z_out=None):
 
     out = None
     if z_out is not None:
-        z_out = np.asarray(z_out, dtype=float)
-        outside = np.where((z_out < 0.0) | (z_out > 1.0))[0]
-        if outside.size:
-            raise ValueError(f"z_out point {float(z_out[outside[0]])!r} is outside [0.0, 1.0]")
-        drop = np.where(np.diff(z_out) < 0.0)[0]
-        if drop.size:
-            raise ValueError(
-                f"z_out is not sorted: {float(z_out[drop[0] + 1])!r} "
-                f"follows {float(z_out[drop[0]])!r}"
-            )
         out = np.empty((z_out.size,) + shape)
         max_step = min(max_step, DENSE_MAX_STEP)
         i_out = 0
@@ -408,7 +402,6 @@ class _UnitMap:
         self.exprs = (prob.p, prob.q, prob.rho, prob.dp, prob.dq, prob.drho)
         self.bc_a = (prob.bc_a[0] / ell, prob.bc_a[1])
         self.bc_b = (prob.bc_b[0] / ell, prob.bc_b[1])
-        self.identity = (a, ell, P, R) == (0.0, 1.0, 1.0, 1.0)
 
     def z(self, s):
         return self.a + self.ell * s
@@ -423,12 +416,12 @@ class _UnitMap:
         return tuple(k * e(z) for k, e in zip(self.factors, self.exprs[:4]))
 
     def scalar(self, n: int):
-        """One call s -> the first n of p^, q^, rho^, p^', q^', rho^' at a scalar s."""
+        """s (an array) -> (n, s.size): the first n of p^, q^, rho^, p^', q^',
+        rho^' at each s, the expressions evaluated on Python floats at
+        z = a + ell s, one call per point."""
         fn = compile_scalar(*self.exprs[:n])
-        if self.identity:  # every factor is 1.0: skip the wrapper's cost per call
-            return fn
-        a, ell, k = self.a, self.ell, self.factors[:n]
-        return lambda s: tuple(map(mul, k, fn(a + ell * s)))
+        a, ell, k = self.a, self.ell, np.array(self.factors[:n])[:, None]
+        return lambda s: k * np.array([fn(a + ell * x) for x in s.tolist()]).T
 
 
 class _PlainRHS:
@@ -457,8 +450,8 @@ class _PlainRHS:
         return np.ones(np.broadcast(lams, rho).shape)
 
     def tables(self, zs, lams):
-        """W, G, C, D (len(zs), n) at the points zs (a list of floats) for each lambda."""
-        pz, qz, rz = np.array([self.coeffs(z) for z in zs]).T[:, :, None]
+        """W, G, C, D (len(zs), n) at the points zs (an array) for each lambda."""
+        pz, qz, rz = self.coeffs(zs)[:, :, None]
         hp, hu = 0.5 / pz, lams * (0.5 * rz) - 0.5 * qz
         g = hp - hu
         return hp + hu, g, np.zeros_like(g), g
@@ -487,8 +480,8 @@ class _ScaledRHS:
         return np.sqrt(p * (lams * rho - q))
 
     def tables(self, zs, lams):
-        """W, G, C, D (len(zs), n) at the points zs (a list of floats) for each lambda."""
-        pz, qz, rz, dpz, dqz, drz = np.array([self.coeffs(z) for z in zs]).T[:, :, None]
+        """W, G, C, D (len(zs), n) at the points zs (an array) for each lambda."""
+        pz, qz, rz, dpz, dqz, drz = self.coeffs(zs)[:, :, None]
         u = lams * rz - qz  # > 0 by mode selection
         g = (lams * (0.25 * drz) - 0.25 * dqz) / u + 0.25 * dpz / pz
         return np.sqrt(u / pz), g, g, -g
@@ -610,9 +603,9 @@ class _Shooter:
         self.weights = grid.weights / unit.ell
         # p^, q^, rho^, p^' at the nodes; the ends exactly as the RHS sees them
         self.p_s, self.q_s, self.rho_s, self.dp_s = unit.coeffs(self.s_out)
-        for end, s in ((0, 0.0), (-1, 1.0)):
-            for v, c in zip((self.p_s, self.q_s, self.rho_s, self.dp_s), self.scaled.coeffs(s)):
-                v[end] = c
+        ends = self.scaled.coeffs(np.array([0.0, 1.0]))
+        for v, c in zip((self.p_s, self.q_s, self.rho_s, self.dp_s), ends):
+            v[[0, -1]] = c
         # The scaled form is used where L rho - q >= 1 (a margin of 1) at
         # every node.  As rho > 0, that is L >= (q + 1)/rho there.
         self.lam_star = float(np.max((self.q_s + 1.0) / self.rho_s))
@@ -767,15 +760,15 @@ def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
     indices at once (see _search), then returned as lambda_n = -L_n.
     Eigenfunctions come from the amplitude equation, rho-normalized, with
     phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).  Either edge of
-    the bracketing scan is pushed out at most MAX_BRACKET_EXPANSIONS times
-    before EigenvalueBracketError is raised.  The grid has
+    the bracketing ladder is pushed out at most MAX_BRACKET_EXPANSIONS times
+    before EigenvalueBracketError is raised; N must be an integer.  The grid has
     max(DEFAULT_PANELS, N) panels of DEFAULT_POINTS Gauss points, about one
     panel per mode, so high modes stay resolved.  Every phase integration
     runs at relative tolerance ODE_RTOL, and every bracket is closed to
     ROOT_RTOL.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
     grid = make_grid(prob.interval, max(DEFAULT_PANELS, N))
     sh = _Shooter(prob, grid)  # from here on, everything is in unit variables
     kvec = np.arange(N, dtype=float)
@@ -786,40 +779,34 @@ def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
     q_shift = float(np.median(q_rho))
     guesses = ((kvec + 1.0) * math.pi / J) ** 2 + q_shift
 
-    # lower edge of the scan window: push down until miss for index 0 < 0
-    lo0 = top = float(np.min(q_rho)) - 1.0
-    step = max(10.0, abs(lo0))
-    f0 = sh.miss(np.array([lo0]), np.zeros(1))[0]
+    # one ladder brackets every index; its bottom lies below the spectrum
+    # unless a Robin end pulls the spectrum lower
+    bottom = float(np.min(q_rho)) - 1.0
+    step = max(10.0, abs(bottom))
+    ladder = np.unique(np.concatenate([[bottom], guesses, [guesses[-1] * 1.3 + 10.0]]))
+    phases = sh.miss(ladder, np.zeros(ladder.size))  # miss for k = 0
     for _ in range(MAX_BRACKET_EXPANSIONS):
-        if f0 < 0.0:
+        # push out each edge that lacks its sign, both in one miss call
+        low = [] if phases[0] < 0.0 else [ladder[0] - step]
+        high = [] if phases[-1] - math.pi * kvec[-1] > 0.0 else [max(ladder[-1] * 2.0, 0.0) + 10.0]
+        if not (low or high):
             break
-        lo0 -= step
-        step *= 2.0
-        f0 = sh.miss(np.array([lo0]), np.zeros(1))[0]
-    if not f0 < 0.0:
-        raise _bracket_error(sh, 0, "not bracketed below", lo0, top)
-
-    # one vectorized ladder sweep brackets every index; the guesses lie above
-    # lo0, whose miss the scan has already computed
-    ladder = np.unique(np.concatenate([guesses, [guesses[-1] * 1.3 + 10.0]]))
-    phases = np.concatenate([[f0], sh.miss(ladder, np.zeros(ladder.size))])  # miss for k=0
-    ladder = np.concatenate([[lo0], ladder])
-    for _ in range(MAX_BRACKET_EXPANSIONS):
-        if phases[-1] - math.pi * kvec[-1] > 0.0:
-            break
-        ladder = np.append(ladder, max(ladder[-1] * 2.0, 0.0) + 10.0)
-        phases = np.append(phases, sh.miss(ladder[-1:], np.zeros(1)))
+        if low:
+            step *= 2.0
+        f = sh.miss(np.array(low + high), np.zeros(len(low) + len(high)))
+        ladder = np.concatenate([low, ladder, high])
+        phases = np.concatenate([f[:len(low)], phases, f[len(low):]])
+    if not phases[0] < 0.0:
+        raise _bracket_error(sh, 0, "not bracketed below", ladder[0], bottom)
     if not phases[-1] - math.pi * kvec[-1] > 0.0:
-        raise _bracket_error(sh, N - 1, "not bracketed", lo0, ladder[-1])
+        raise _bracket_error(sh, N - 1, "not bracketed", ladder[0], ladder[-1])
 
-    # phases[0] < 0 < phases[-1] - pi (N - 1), so every index has a sign change
-    lo, hi = np.empty(N), np.empty(N)
-    flo, fhi = np.empty(N), np.empty(N)
-    for k in range(N):
-        rel = phases - math.pi * k
-        i_lo, i_hi = np.flatnonzero(rel < 0.0)[-1], np.flatnonzero(rel >= 0.0)[0]
-        lo[k], hi[k] = ladder[i_lo], ladder[i_hi]
-        flo[k], fhi[k] = rel[i_lo], rel[i_hi]
+    # phases[0] < 0 < phases[-1] - pi (N - 1) and the phases rise with L, so
+    # index k's bracket ends at the first ladder point whose phase reaches pi k
+    level = math.pi * kvec
+    i_hi = np.sum(phases < level[:, None], axis=1)
+    lo, hi = ladder[i_hi - 1], ladder[i_hi]
+    flo, fhi = phases[i_hi - 1] - level, phases[i_hi] - level
 
     lo, hi, flo, fhi = _search(sh, lo, hi, flo, fhi, kvec)
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)

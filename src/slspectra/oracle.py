@@ -43,12 +43,6 @@ class FDOperator:
         e = self.sup[:-1] * np.sqrt(w[:-1] / w[1:])
         return self.diag.copy(), e
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.sup[:-1] * x[1:]
-        y[1:] += self.sub[1:] * x[:-1]
-        return y
-
     def norm_rho(self, x: np.ndarray) -> float:
         return float(np.sqrt(np.dot(self.cell_weights, x * x)))
 

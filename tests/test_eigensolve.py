@@ -335,7 +335,7 @@ def test_default_grid_grows_with_N():
 
 
 def test_no_lambda_shot_twice(monkeypatch):
-    # the ladder reuses the scan's miss at its lower edge instead of integrating it again
+    # the ladder, its pushed edges and the search rounds never repeat a lambda
     seen = []
     miss = eigensolve._Shooter.miss
     monkeypatch.setattr(
@@ -349,6 +349,41 @@ def test_no_lambda_shot_twice(monkeypatch):
         seen.clear()
         solve_spectrum(prob, N=N)
         assert len(set(seen)) == len(seen), (prob, len(seen) - len(set(seen)))
+
+
+def test_bracketing_is_one_ladder(monkeypatch):
+    # the ladder's bottom, guesses and top are shot in one miss call, and
+    # with q >= 0 and Dirichlet ends no edge needs a push
+    calls, before_search = [], []
+    miss, search = eigensolve._Shooter.miss, eigensolve._search
+    monkeypatch.setattr(
+        eigensolve._Shooter, "miss", lambda sh, lams, kidx: calls.append(lams) or miss(sh, lams, kidx)
+    )
+    monkeypatch.setattr(
+        eigensolve, "_search", lambda *args: before_search.append(len(calls)) or search(*args)
+    )
+    prob = SLProblem.from_strings(0.0, 1.0, "1", "30*z", "1", (0.0, 1.0), (0.0, 1.0))
+    solve_spectrum(prob, N=2)
+    assert before_search == [1], calls
+
+
+@pytest.mark.parametrize("N", [2.5, 3.0, "3", np.float64(4.0)])
+def test_non_integer_N_rejected_before_any_integration(N, dirichlet_problem, work_counts):
+    with pytest.raises(ValueError, match=re.escape(repr(N))):
+        solve_spectrum(dirichlet_problem, N=N)
+    assert work_counts["integrate"] == 0
+
+
+@pytest.mark.parametrize("panels", [64.0, 2.5, "8"])
+def test_non_integer_panels_rejected(panels, dirichlet_problem):
+    with pytest.raises(ValueError, match=re.escape(repr(panels))):
+        make_grid(dirichlet_problem.interval, panels)
+
+
+def test_numpy_integer_N_accepted(dirichlet_problem):
+    dec = solve_spectrum(dirichlet_problem, N=np.int64(3))
+    assert dec.N == 3
+    assert make_grid(dirichlet_problem.interval, np.int64(8)).panels == 8
 
 
 def _dilated(p, q, rho, bc_a, bc_b, k, m, j):
@@ -706,15 +741,25 @@ def test_dense_output_matches_scipy_interpolant():
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def _pointwise_rhs(rhs, z, theta, lams):
+def _unit_coeffs(prob, s):
+    """p^, q^, rho^, p^', q^', rho^' at one s, from the problem's own
+    expressions as factor * e(a + ell s) on Python floats (see _UnitMap)."""
+    a, ell = prob.interval.a, prob.interval.length
+    P, R = prob.p(a), prob.rho(a)
+    factors = (1.0 / P, ell * ell / P, 1.0 / R, ell / P, ell * ell * ell / P, ell / R)
+    exprs = (prob.p, prob.q, prob.rho, prob.dp, prob.dq, prob.drho)
+    z = a + ell * s
+    return [k * e(z) for k, e in zip(factors, exprs)]
+
+
+def _pointwise_rhs(form, coeffs, theta, lams):
     """theta' and the amplitude's log-derivative at one point, by the Pruefer
     formulas in double angles (the module docstring), one lambda per column."""
     th2 = 2.0 * theta
-    if rhs.form == "plain":
-        pz, qz, rz = rhs.coeffs(z)
+    pz, qz, rz, dpz, dqz, drz = coeffs
+    if form == "plain":
         hp, hu = 0.5 / pz, lams * (0.5 * rz) - 0.5 * qz
         return (hp + hu) + (hp - hu) * np.cos(th2), (hp - hu) * np.sin(th2)
-    pz, qz, rz, dpz, dqz, drz = rhs.coeffs(z)
     u = lams * rz - qz
     g = (lams * (0.25 * drz) - 0.25 * dqz) / u + 0.25 * dpz / pz
     return np.sqrt(u / pz) + g * np.sin(th2), g - g * np.cos(th2)
@@ -737,19 +782,9 @@ def test_stage_tables_match_pointwise_formulas(form, ncomp):
         theta = rng.uniform(-10.0, 10.0, lams.size)
         k = np.empty((ncomp, lams.size))
         eigensolve._slope(k, 2.0 * theta, base[i], slope[i], rhs.trig[:ncomp])
-        want = _pointwise_rhs(rhs, z, theta, lams)[:ncomp]
+        want = _pointwise_rhs(form, _unit_coeffs(prob, z), theta, lams)[:ncomp]
         for c in range(ncomp):
             assert np.array_equal(k[c], want[c]), (form, ncomp, i, c)
-
-
-@pytest.mark.parametrize(
-    "z_out, match",
-    [([0.5, 0.2, 1.0], "0.2 follows 0.5"), ([0.5, 3.5], "3.5 is outside"),
-     ([-0.1, 1.0], "-0.1 is outside")],
-)
-def test_integrate_rejects_bad_z_out(z_out, match):
-    with pytest.raises(ValueError, match=match):
-        eigensolve._integrate(_CosRHS(), np.zeros(1), np.zeros(1), z_out=z_out)
 
 
 class _NaNRHS(eigensolve._PlainRHS):
