@@ -166,7 +166,10 @@ class CaseStudySpectrum:
     s: np.ndarray
     lam: np.ndarray
     k: np.ndarray
-    N: int
+
+    @property
+    def N(self) -> int:
+        return self.s.size
 
     def residuals(self) -> np.ndarray:
         return np.abs(characteristic(self.s))
@@ -197,7 +200,7 @@ def solve_case_study(model: DCRModel, N: int) -> CaseStudySpectrum:
         lo, hi = (0.5, math.pi / 2.0) if m == 0 else (m * math.pi, m * math.pi + math.pi / 2.0)
         roots[m] = _polish_root(find_root(characteristic, lo, hi, tol=1e-15))
     k = 2.0 * math.sqrt(2.0) * roots / np.sqrt(4.0 * roots * roots + 5.0)
-    return CaseStudySpectrum(roots, -roots * roots, k, N)
+    return CaseStudySpectrum(roots, -roots * roots, k)
 
 
 def closed_form_eigenfunction(spec: CaseStudySpectrum, n, grid: Grid) -> GridFunction:

@@ -2,9 +2,13 @@
 
 Problem definitions come from a JSON config file — either explicit
 coefficient expressions or a named preset — validated against a published
-schema.  Structured results are JSON (deterministic key order, shortest
-round-trip floats); grid and time series are CSV.  Every output file gets
-a sidecar run manifest so results can be reproduced byte for byte.
+schema; `observe` takes a config or a `--synthetic` trace file, not both.
+Each cmd_* returns its document, verdict, tolerances and config text, and
+`main` writes every subcommand through one path: JSON (deterministic key
+order, shortest round-trip floats) to `--out` or stdout and, with `--out`,
+a sidecar run manifest with the same keys for all four (`seed` null except
+for `verify`, `config_sha256` null without a config), so results can be
+reproduced byte for byte.  `simulate --csv` writes its CSV time series first.
 
 Exit codes: 0 all checks pass, 1 input error, 2 numerical tolerance
 violation.
@@ -108,10 +112,6 @@ CONFIG_SCHEMA = {
 CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
 
-class InputError(Exception):
-    pass
-
-
 def _preset_problem(name: str) -> SLProblem:
     """The dirichlet or neumann preset: p = rho = 1 and q = 0 on [0, 1]."""
     bc = (0.0, 1.0) if name == "dirichlet" else (1.0, 0.0)
@@ -130,12 +130,12 @@ def load_config(path: str) -> Tuple[SLProblem, Optional[DCRModel], str]:
             raw = fh.read()
         doc = json.loads(raw)
     except OSError as exc:
-        raise InputError(f"cannot read config: {exc}")
+        raise ValueError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
-        raise InputError(f"config is not valid JSON: {exc}")
+        raise ValueError(f"config is not valid JSON: {exc}")
     error = best_match(CONFIG_VALIDATOR.iter_errors(doc))
     if error is not None:
-        raise InputError(f"config rejected by schema: {error.message}")
+        raise ValueError(f"config rejected by schema: {error.message}")
 
     if "preset" in doc:
         name = doc["preset"]
@@ -171,35 +171,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_manifest(
-    out: Optional[str], argv: List[str], config_text: Optional[str],
-    seed: Optional[int], tolerances: dict, t_start: float,
-) -> None:
-    if not out:
-        return
-    sha = hashlib.sha256(config_text.encode()).hexdigest() if config_text else None
-    doc = {
-        "command": argv,
-        "config_sha256": sha,
-        "seed": seed,
-        "tolerances": tolerances,
-        "version": __version__,
-        "wall_time_s": time.monotonic() - t_start,
-    }
-    _atomic_write(out + ".manifest.json", _dump_json(doc))
-
-
 # ---------------------------------------------------------------- eigs
 
-def cmd_eigs(args, argv) -> int:
-    t0 = time.monotonic()
+def cmd_eigs(args):
     prob, model, config_text = load_config(args.config)
     N = args.modes
     tolerances = {"orthonormality": 1e-6, "bc_residual": 1e-8}
@@ -213,16 +187,10 @@ def cmd_eigs(args, argv) -> int:
         "bc_a": res[0].tolist(),
         "bc_b": res[1].tolist(),
     }
-    if model is not None:
-        spec = solve_case_study(model, N) if model.D == 1.0 else None
-        if spec is not None:
-            doc["case_study"] = spec.to_dict()
-    text = _dump_json(doc)
-    _emit(text, args.out)
-    _write_manifest(args.out, argv, config_text, None, tolerances, t0)
-    if gram_err > tolerances["orthonormality"] or max_bc > tolerances["bc_residual"]:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    if model is not None and model.D == 1.0:
+        doc["case_study"] = solve_case_study(model, N).to_dict()
+    passed = not (gram_err > tolerances["orthonormality"] or max_bc > tolerances["bc_residual"])
+    return doc, passed, tolerances, config_text
 
 
 # ------------------------------------------------------------ simulate
@@ -232,7 +200,7 @@ def _parse_times(raw: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in raw.split(",")], dtype=np.float64)
     except ValueError:
-        raise InputError(f"bad --times list: {raw!r}")
+        raise ValueError(f"bad --times list: {raw!r}")
 
 
 def _initial_state(x0_expr, model: Optional[DCRModel], z: np.ndarray) -> np.ndarray:
@@ -244,8 +212,7 @@ def _initial_state(x0_expr, model: Optional[DCRModel], z: np.ndarray) -> np.ndar
     return x
 
 
-def cmd_simulate(args, argv) -> int:
-    t0 = time.monotonic()
+def cmd_simulate(args):
     prob, model, config_text = load_config(args.config)
     times = _parse_times(args.times)
     x0_expr = parse_coeff(args.x0)
@@ -264,7 +231,7 @@ def cmd_simulate(args, argv) -> int:
     doc = traj.to_dict()
 
     tolerances = {"oracle_l2": 1e-3}
-    code = EXIT_OK
+    passed = True
     if args.verify:
         op = assemble(prob, M=args.oracle_cells)
         discrepancies = []
@@ -282,22 +249,18 @@ def cmd_simulate(args, argv) -> int:
             "l2_discrepancy": discrepancies,
             "tolerance": tolerances["oracle_l2"],
         }
-        if max(discrepancies) > tolerances["oracle_l2"]:
-            code = EXIT_TOLERANCE
+        passed = not max(discrepancies) > tolerances["oracle_l2"]
 
-    # the CSV goes first, so that a failed write leaves no output at all
+    # the CSV goes before the document, so that a failed write leaves no output at all
     if args.csv:
         trajectory_to_csv(traj, args.csv)
-    _emit(_dump_json(doc), args.out)
-    _write_manifest(args.out, argv, config_text, None, tolerances, t0)
-    return code
+    return doc, passed, tolerances, config_text
 
 
 # ------------------------------------------------------------- observe
 
-def cmd_observe(args, argv) -> int:
-    t0 = time.monotonic()
-    if args.synthetic:
+def cmd_observe(args):
+    if args.synthetic is not None:
         try:
             with open(args.synthetic) as fh:
                 doc_in = json.load(fh)
@@ -305,7 +268,7 @@ def cmd_observe(args, argv) -> int:
             z0 = float(doc_in.get("z0", 0.0) if args.z0 is None else args.z0)
             alpha = float(doc_in.get("alpha", 0.5))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad synthetic report input: {exc}")
+            raise ValueError(f"bad synthetic report input: {exc}")
         report = observability_from_values(values, z0, alpha, tol=args.tol)
         config_text = None
     else:
@@ -315,9 +278,7 @@ def cmd_observe(args, argv) -> int:
         dec = solve_spectrum(prob, N=args.modes)
         fs = _fractional_space(dec, 0.5, model)
         report = observability_test(fs, z0, tol=args.tol)
-    _emit(_dump_json(report.to_dict()), args.out)
-    _write_manifest(args.out, argv, config_text, None, {"trace_tol": args.tol}, t0)
-    return EXIT_OK if report.verdict else EXIT_TOLERANCE
+    return report.to_dict(), report.verdict, {"trace_tol": args.tol}, config_text
 
 
 # -------------------------------------------------------------- verify
@@ -448,8 +409,7 @@ SUITES = {
 VERIFY_SUITES = (*SUITES, "all")
 
 
-def cmd_verify(args, argv) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
@@ -459,9 +419,7 @@ def cmd_verify(args, argv) -> int:
     ok = all(c["passed"] for c in checks)
     doc = {"schema_version": 1, "suite": args.suite, "seed": args.seed,
            "checks": checks, "passed": ok}
-    _emit(_dump_json(doc), args.out)
-    _write_manifest(args.out, argv, None, args.seed, {}, t0)
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return doc, ok, {}, None
 
 
 # ----------------------------------------------------------------- main
@@ -519,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    t0 = time.monotonic()
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
@@ -528,10 +487,26 @@ def main(argv: Optional[List[str]] = None) -> int:
             # argparse exits 2 on usage errors; that slot means tolerance
             # violation here, so remap (help/version keep their 0)
             return EXIT_OK if exc.code == 0 else EXIT_INPUT
-        if args.command == "observe" and args.config is None and args.synthetic is None:
-            raise InputError("observe needs a config file or --synthetic")
-        return args.fn(args, argv)
-    except (InputError, ValueError, OSError) as exc:
+        if args.command == "observe" and (args.config is None) == (args.synthetic is None):
+            raise ValueError("observe needs a config file or --synthetic, not both")
+        doc, passed, tolerances, config_text = args.fn(args)
+        text = _dump_json(doc)
+        if not args.out:
+            sys.stdout.write(text)
+        else:  # the document first, then its manifest
+            _atomic_write(args.out, text)
+            sha = hashlib.sha256(config_text.encode()).hexdigest() if config_text else None
+            manifest = {
+                "command": argv,
+                "config_sha256": sha,
+                "seed": args.seed if args.command == "verify" else None,
+                "tolerances": tolerances,
+                "version": __version__,
+                "wall_time_s": time.monotonic() - t0,
+            }
+            _atomic_write(args.out + ".manifest.json", _dump_json(manifest))
+        return EXIT_OK if passed else EXIT_TOLERANCE
+    except (ValueError, OSError) as exc:
         # ValueError: a value the library rejects (an option, a config entry);
         # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)

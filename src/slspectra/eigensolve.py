@@ -783,7 +783,8 @@ def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
     # unless a Robin end pulls the spectrum lower
     bottom = float(np.min(q_rho)) - 1.0
     step = max(10.0, abs(bottom))
-    ladder = np.unique(np.concatenate([[bottom], guesses, [guesses[-1] * 1.3 + 10.0]]))
+    g = guesses[-1]  # the top lies above the last guess whatever its sign
+    ladder = np.unique(np.concatenate([[bottom], guesses, [max(g * 1.3, g * 0.7) + 10.0]]))
     phases = sh.miss(ladder, np.zeros(ladder.size))  # miss for k = 0
     for _ in range(MAX_BRACKET_EXPANSIONS):
         # push out each edge that lacks its sign, both in one miss call

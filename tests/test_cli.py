@@ -359,19 +359,86 @@ def test_observe_runs_on_any_config(doc, code, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["eigs", "--modes", "2", "--out", "{missing}/x.json"],
-     ["simulate", "--x0", "z*(1-z)", "--times", "0.1", "--modes", "3",
-      "--csv", "{missing}/x.csv"]],
-    ids=["eigs-out", "simulate-csv"],
+    [["eigs", "{config}", "--modes", "2", "--out", "{missing}/x.json"],
+     ["simulate", "{config}", "--x0", "z*(1-z)", "--times", "0.1", "--modes", "3",
+      "--csv", "{missing}/x.csv"],
+     ["observe", "{config}", "--modes", "5", "--out", "{missing}/x.json"],
+     ["verify", "--suite", "core", "--out", "{missing}/x.json"]],
+    ids=["eigs-out", "simulate-csv", "observe-out", "verify-out"],
 )
 def test_unwritable_output_exits_1_with_no_output(argv, dirichlet_config, tmp_path, capsys):
     missing = str(tmp_path / "missing")
-    argv = [a.format(missing=missing) for a in argv]
-    assert main([argv[0], dirichlet_config, *argv[1:]]) == 1
+    argv = [a.format(missing=missing, config=dirichlet_config) for a in argv]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "", captured.out
     err = captured.err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
+# one request per subcommand; "{config}" is the dirichlet preset
+SUBCOMMANDS = {
+    "eigs": ["eigs", "{config}", "--modes", "3"],
+    "simulate": ["simulate", "{config}", "--x0", "z*(1-z)", "--times", "0,0.1", "--modes", "4"],
+    "observe": ["observe", "{config}", "--modes", "5"],
+    "verify": ["verify", "--suite", "core", "--seed", "3"],
+}
+MANIFEST_KEYS = {"command", "config_sha256", "seed", "tolerances", "version", "wall_time_s"}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_stdout_is_the_out_file_and_writes_no_manifest(name, dirichlet_config, tmp_path,
+                                                       capsys):
+    argv = [a.format(config=dirichlet_config) for a in SUBCOMMANDS[name]]
+    out = str(tmp_path / "out.json")
+    code = main(argv + ["--out", out])
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(argv) == code
+    with open(out) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("name", [*SUBCOMMANDS, "observe-synthetic"])
+def test_every_manifest_has_the_same_keys(name, dirichlet_config, tmp_path):
+    syn = tmp_path / "syn.json"
+    syn.write_text(json.dumps({"values": [0.5, 0.3]}))
+    argv = SUBCOMMANDS.get(name, ["observe", "--synthetic", str(syn)])
+    argv = [a.format(config=dirichlet_config) for a in argv]
+    out = str(tmp_path / "out.json")
+    main(argv + ["--out", out])
+    with open(out + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == argv + ["--out", out]
+    assert manifest["seed"] == (3 if name == "verify" else None)
+    has_config = name in ("eigs", "simulate", "observe")
+    assert (manifest["config_sha256"] is not None) == has_config
+
+
+@pytest.mark.parametrize(
+    "argv", [["observe", "{config}", "--synthetic", "{syn}", "--z0", "1"], ["observe"]],
+    ids=["both", "neither"],
+)
+def test_observe_needs_a_config_or_synthetic_not_both(argv, dirichlet_config, tmp_path, capsys):
+    # given both, one of the two inputs would be silently ignored
+    syn = tmp_path / "syn.json"
+    syn.write_text(json.dumps({"values": [0.5, 0.3]}))
+    out = str(tmp_path / "obs.json")
+    argv = [a.format(config=dirichlet_config, syn=syn) for a in argv]
+    assert main(argv + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    err = captured.err
+    assert err.startswith("error:") and err.count("\n") == 1 and "not both" in err, err
+
+
+def test_observe_empty_synthetic_path_exits_1(capsys):
+    # an empty --synthetic is a path that cannot be read, not an absent option
+    assert main(["observe", "--synthetic", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: bad synthetic"), captured
 
 
 def test_observe_synthetic_zero_exits_2(tmp_path, capsys):

@@ -353,7 +353,8 @@ def test_no_lambda_shot_twice(monkeypatch):
 
 def test_bracketing_is_one_ladder(monkeypatch):
     # the ladder's bottom, guesses and top are shot in one miss call, and
-    # with q >= 0 and Dirichlet ends no edge needs a push
+    # with Dirichlet ends no edge needs a push: not for q >= 0, nor for a
+    # strongly negative q, whose last Weyl guess is negative
     calls, before_search = [], []
     miss, search = eigensolve._Shooter.miss, eigensolve._search
     monkeypatch.setattr(
@@ -362,9 +363,12 @@ def test_bracketing_is_one_ladder(monkeypatch):
     monkeypatch.setattr(
         eigensolve, "_search", lambda *args: before_search.append(len(calls)) or search(*args)
     )
-    prob = SLProblem.from_strings(0.0, 1.0, "1", "30*z", "1", (0.0, 1.0), (0.0, 1.0))
-    solve_spectrum(prob, N=2)
-    assert before_search == [1], calls
+    for q in ("30*z", "-100"):
+        calls.clear()
+        before_search.clear()
+        prob = SLProblem.from_strings(0.0, 1.0, "1", q, "1", (0.0, 1.0), (0.0, 1.0))
+        solve_spectrum(prob, N=2)
+        assert before_search == [1], (q, calls)
 
 
 @pytest.mark.parametrize("N", [2.5, 3.0, "3", np.float64(4.0)])
