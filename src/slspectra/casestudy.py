@@ -31,6 +31,7 @@ the oracle the solver's traces are checked against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal, Optional, Tuple
 
@@ -150,17 +151,6 @@ def characteristic(s):
     return float(out) if out.ndim == 0 else out
 
 
-def _polish_root(s: float) -> float:
-    """Move to the neighbouring double with the smallest |g|."""
-    best = s
-    gbest = abs(characteristic(s))
-    for cand in (np.nextafter(s, 0.0), np.nextafter(s, np.inf)):
-        g = abs(characteristic(float(cand)))
-        if g < gbest:
-            best, gbest = float(cand), g
-    return best
-
-
 @dataclass(frozen=True)
 class CaseStudySpectrum:
     s: np.ndarray
@@ -190,15 +180,16 @@ def solve_case_study(model: DCRModel, N: int) -> CaseStudySpectrum:
     Root m+1 lives in (m pi, m pi + pi/2); the first root has the seed
     bracket (1/2, pi/2).  Each bracket has a sign change: for m >= 1,
     g(m pi) = -4 m pi (-1)^m and g(m pi + pi/2) = (-1)^m (4 s^2 - 1).
+    One find_root call bisects all N brackets, so each root is the double
+    with the smaller |g| of the two adjacent doubles around the zero.
     """
     if model.D != 1.0:
         raise ValueError("closed-form spectrum requires D = 1")
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    roots = np.empty(N)
-    for m in range(N):
-        lo, hi = (0.5, math.pi / 2.0) if m == 0 else (m * math.pi, m * math.pi + math.pi / 2.0)
-        roots[m] = _polish_root(find_root(characteristic, lo, hi, tol=1e-15))
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    m = np.arange(N)
+    lo = np.where(m == 0, 0.5, m * math.pi)
+    roots = find_root(characteristic, lo, m * math.pi + math.pi / 2.0)
     k = 2.0 * math.sqrt(2.0) * roots / np.sqrt(4.0 * roots * roots + 5.0)
     return CaseStudySpectrum(roots, -roots * roots, k)
 

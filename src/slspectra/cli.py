@@ -293,7 +293,7 @@ def _suite_core(seed: int):
     vals = np.polynomial.polynomial.polyval(g.nodes, coef)
     got = float(np.dot(vals, g.weights))
     checks.append(("quadrature_degree15_exact", abs(got - exact) < 1e-14, abs(got - exact)))
-    r = find_root(math.cos, 1.0, 2.0)
+    r = find_root(np.cos, 1.0, 2.0)
     checks.append(("root_cos_halfpi", abs(r - math.pi / 2.0) < 1e-12, abs(r - math.pi / 2.0)))
     f = grid_function(g, np.sin, np.cos, lambda z: -np.sin(z))
     got = float(np.dot(f.values, g.weights))

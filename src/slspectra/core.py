@@ -305,39 +305,40 @@ def form_inner_product(prob: SLProblem, f: GridFunction, g: GridFunction, mu: fl
 
 
 # ---------------------------------------------------------------------------
-# Bracketed root finding (Brent)
+# Bracketed root finding (bisection over arrays of brackets)
 
 
-def find_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Brent's method (scipy's brentq): inverse quadratic / secant with a
-    bisection fallback.
+def find_root(fn: Callable[[np.ndarray], np.ndarray], lo, hi):
+    """Bisect every bracket [lo, hi] at once; fn maps an array to an array.
 
-    Requires a sign change on [lo, hi]; the bracket width at return is <= tol
-    (plus a machine-epsilon floor proportional to the root magnitude).  After
-    max_iter iterations the last iterate is returned.
+    lo and hi broadcast to one array of brackets, each with a sign change.
+    Each bracket is halved until its ends are adjacent doubles or one end is
+    an exact zero, and returns the end with the smaller |fn|.  A float for
+    scalar lo and hi, else an array of their broadcast shape.
     """
-    # imported here: scipy.optimize is slow to import, and only this needs it
-    from scipy.optimize import brentq
+    lo, hi = (np.array(v, dtype=np.float64) for v in np.broadcast_arrays(lo, hi))
 
-    def checked(x: float) -> float:
-        fx = fn(x)
-        if not np.isfinite(fx):
-            raise BracketError(f"non-finite function value at {x}")
+    def checked(x):
+        fx = np.asarray(fn(x), dtype=np.float64)
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            raise BracketError(f"non-finite function value at {x[bad][0]}")
         return fx
 
-    try:
-        return brentq(
-            checked, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
-            maxiter=max_iter, disp=False,
-        )
-    except BracketError:
-        raise
-    except ValueError as exc:  # brentq's own checks: no sign change, bad tol
-        raise BracketError(f"{exc} on [{lo}, {hi}]") from exc
+    flo, fhi = checked(lo), checked(hi)
+    same = np.sign(flo) * np.sign(fhi) > 0
+    if same.any():
+        raise BracketError(f"no sign change on [{lo[same][0]}, {hi[same][0]}]")
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        open_ = (mid != lo) & (mid != hi) & (flo != 0.0) & (fhi != 0.0)
+        if not open_.any():
+            break
+        fmid = checked(mid)
+        left = open_ & (np.sign(fmid) == np.sign(flo))
+        right = open_ & ~left
+        lo, flo = np.where(left, mid, lo), np.where(left, fmid, flo)
+        hi, fhi = np.where(right, mid, hi), np.where(right, fmid, fhi)
+    x = np.where(np.abs(fhi) < np.abs(flo), hi, lo)
+    return float(x) if x.ndim == 0 else x
 

@@ -102,6 +102,17 @@ def test_guards(model):
         solve_case_study(DCRModel(2.0, 0.75), 5)
     with pytest.raises(ValueError):
         solve_case_study(model, 0)
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {bad!r}"):
+            solve_case_study(model, bad)
+    assert solve_case_study(model, np.int64(3)).N == 3
+
+
+def test_roots_are_the_double_with_the_smallest_residual(model):
+    s = solve_case_study(model, 200).s
+    g = np.abs(characteristic(s))
+    assert np.all(g <= np.abs(characteristic(np.nextafter(s, 0.0))))
+    assert np.all(g <= np.abs(characteristic(np.nextafter(s, np.inf))))
 
 
 def test_normalization_constants(cs_spec50, std_grid):
@@ -266,7 +277,7 @@ def test_poincare_and_equivalence_corpus(model, neumann_problem, std_grid):
 def test_poincare_ritz_decreases_to_h1_infimum(std_grid):
     # over H^1 the infimum is s^2 with s tan s = 1/2; nested spans can only
     # bring the Ritz minimum down towards it
-    s = find_root(lambda x: x * math.tan(x) - 0.5, 0.1, 1.0, tol=1e-15)
+    s = find_root(lambda x: x * np.tan(x) - 0.5, 0.1, 1.0)
     assert s * s == pytest.approx(0.4267632, abs=1e-7)
     consts = [poincare_check(trig_corpus(std_grid, n)) for n in (8, 12, 16, 22)]
     assert np.all(np.diff(consts) < 0.0), consts

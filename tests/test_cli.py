@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -485,6 +487,22 @@ def test_verify_suites(tmp_path, capsys):
     # argparse rejects unknown suites -> input-error code
     assert main(["verify", "--suite", "bogus"]) == 1
     capsys.readouterr()
+
+
+def test_verify_and_eigs_load_no_scipy_solvers(dcr_config, tmp_path):
+    # scipy.optimize, and scipy.linalg through it, add about 0.3 s to a cold
+    # verify or eigs; only the oracle may load scipy.linalg
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    verify, eigs = str(tmp_path / "verify.json"), str(tmp_path / "eigs.json")
+    code = ("import sys, slspectra.cli as cli; "
+            f"assert cli.main(['verify', '--suite', 'all', '--out', {verify!r}]) == 0; "
+            f"assert cli.main(['eigs', {dcr_config!r}, '--out', {eigs!r}]) == 0; "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]", res.stdout
 
 
 def test_determinism_byte_identical(dcr_config, tmp_path):

@@ -142,19 +142,24 @@ def test_bc_residual_robin():
 
 
 def test_find_root_and_bracket_error():
-    assert find_root(math.cos, 1.0, 2.0) == pytest.approx(math.pi / 2.0, abs=1e-13)
+    assert find_root(np.cos, 1.0, 2.0) == pytest.approx(math.pi / 2.0, abs=1e-13)
     assert find_root(lambda s: s * s - 2.0, 0.0, 2.0) == pytest.approx(
         math.sqrt(2.0), abs=1e-13
     )
+    # several brackets in one call
+    both = find_root(np.cos, [1.0, 4.0], [2.0, 5.0])
+    assert both.shape == (2,)
+    assert both == pytest.approx([math.pi / 2.0, 1.5 * math.pi], abs=1e-13)
     with pytest.raises(BracketError):
         find_root(lambda s: s * s + 1.0, 0.0, 1.0)
+    with pytest.raises(BracketError, match="no sign change on \\[2.0, 3.0\\]"):
+        find_root(np.cos, [1.0, 2.0], [2.0, 3.0])
     with pytest.raises(BracketError, match="non-finite"):
-        find_root(lambda s: math.inf if s == 2.0 else math.cos(s), 1.0, 2.0)
+        find_root(lambda s: np.where(s == 2.0, np.inf, np.cos(s)), 1.0, 2.0)
     with pytest.raises(BracketError, match="non-finite"):
-        find_root(lambda s: math.cos(s) if s in (1.0, 2.0) else math.nan, 1.0, 2.0)
-    # out of iterations: the last iterate, not an error
-    r = find_root(math.cos, 1.0, 2.0, max_iter=2)
-    assert 1.0 < r < 2.0 and abs(r - math.pi / 2.0) > 1e-13
+        find_root(lambda s: np.where(np.isin(s, (1.0, 2.0)), np.cos(s), np.nan), 1.0, 2.0)
+    with pytest.raises(BracketError, match="non-finite function value at 5.0"):
+        find_root(lambda s: np.where(s == 5.0, np.nan, np.cos(s)), [1.0, 4.0], [2.0, 5.0])
 
 
 def test_coefficient_positivity_enforced():
