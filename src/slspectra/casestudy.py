@@ -7,11 +7,11 @@ xi(z) = exp(-z/(2 D)) x(z) turns it into the constant-coefficient Robin
 problem  xi_t = D xi_zz - kappa xi,  kappa = k0 + 1/(4 D),
 with D xi'(0) = xi(0)/2 and D xi'(1) = -xi(1)/2.
 
-For D = 1 the spectrum of the unshifted operator A = d^2/dz^2 (same BCs)
-is lambda_n = -s_n^2 where the s_n are the positive roots of
-tan(s) = 4 s / (4 s^2 - 1); the L^2-normalized eigenfunctions are
-phi_n(z) = k_n [cos(s_n z) + sin(s_n z) / (2 s_n)],
-k_n = 2 sqrt(2) s_n / sqrt(4 s_n^2 + 5).
+The spectrum of the unshifted operator A = D d^2/dz^2 (same BCs) is
+lambda_n = -D s_n^2, where the s_n are the positive roots of
+tan(s) = 4 D s / (4 D^2 s^2 - 1); the L^2-normalized eigenfunctions are
+phi_n(z) = k_n [cos(s_n z) + sin(s_n z) / (2 D s_n)],
+k_n = 2 sqrt(2) D s_n / sqrt(4 D^2 s_n^2 + 4 D + 1).
 
 With mu = 0 and alpha = 1/2 the inner product of the fractional space
 is the form of the transformed operator, core.form_inner_product at D = 1
@@ -24,7 +24,7 @@ Poincare constant, bound 1/4),
 and the point observations phi_{n,1/2}(0), phi_{n,1/2}(1) are nonzero for
 every n, the modal test for infinite-time approximate observability.
 observability_test reads these traces from a solved decomposition of any
-problem; boundary_trace_closed_form gives them in closed form for D = 1,
+problem; boundary_trace_closed_form gives them in closed form at every D,
 the oracle the solver's traces are checked against.
 """
 
@@ -127,7 +127,7 @@ def transform_state(
 
 def transformed_problem(model: DCRModel) -> SLProblem:
     """Constant-coefficient Robin problem for xi: the unshifted operator
-    A = D d^2/dz^2 (spectrum -s_n^2 for D=1); the generator is A - kappa I."""
+    A = D d^2/dz^2 (spectrum -D s_n^2); the generator is A - kappa I."""
     d = model.D
     return SLProblem(
         interval=Interval(0.0, 1.0),
@@ -139,15 +139,15 @@ def transformed_problem(model: DCRModel) -> SLProblem:
     )
 
 
-def characteristic(s):
-    """Pole-free characteristic g(s) = sin(s)(4 s^2 - 1) - 4 s cos(s).
+def characteristic(s, D):
+    """Pole-free characteristic g_D(s) = sin(s)(4 D^2 s^2 - 1) - 4 D s cos(s).
 
-    Shares its positive zeros with tan(s) = 4 s / (4 s^2 - 1) but is smooth
-    across the tangent poles, so every root sits in a clean sign-change
-    bracket.
+    Shares its positive zeros with tan(s) = 4 D s / (4 D^2 s^2 - 1) but is
+    smooth across the tangent poles, so every root sits in a clean
+    sign-change bracket.
     """
     s = np.asarray(s, dtype=np.float64)
-    out = np.sin(s) * (4.0 * s * s - 1.0) - 4.0 * s * np.cos(s)
+    out = np.sin(s) * (4.0 * D * D * s * s - 1.0) - 4.0 * D * s * np.cos(s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -156,13 +156,14 @@ class CaseStudySpectrum:
     s: np.ndarray
     lam: np.ndarray
     k: np.ndarray
+    D: float
 
     @property
     def N(self) -> int:
         return self.s.size
 
     def residuals(self) -> np.ndarray:
-        return np.abs(characteristic(self.s))
+        return np.abs(characteristic(self.s, self.D))
 
     def to_dict(self) -> dict:
         return {
@@ -177,34 +178,37 @@ class CaseStudySpectrum:
 def solve_case_study(model: DCRModel, N: int) -> CaseStudySpectrum:
     """Roots of the characteristic plus the closed-form lambda_n, k_n.
 
-    Root m+1 lives in (m pi, m pi + pi/2); the first root has the seed
-    bracket (1/2, pi/2).  Each bracket has a sign change: for m >= 1,
-    g(m pi) = -4 m pi (-1)^m and g(m pi + pi/2) = (-1)^m (4 s^2 - 1).
-    One find_root call bisects all N brackets, so each root is the double
-    with the smaller |g| of the two adjacent doubles around the zero.
+    Root n solves s = (n - 1) pi + 2 arctan(1 / (2 D s)), the one zero of g_D
+    in ((n - 1) pi, n pi), so the first N sign changes of g_D over the
+    half-period points 0+, pi/2, ..., (N + 1) pi bracket the first N roots
+    (g_D < 0 just above 0, and g_D(m pi) = -4 D m pi (-1)^m).  One find_root
+    call bisects all N brackets, so each root is the double with the smaller
+    |g_D| of the two adjacent doubles around the zero.
     """
-    if model.D != 1.0:
-        raise ValueError("closed-form spectrum requires D = 1")
     if not isinstance(N, numbers.Integral) or N < 1:
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
-    m = np.arange(N)
-    lo = np.where(m == 0, 0.5, m * math.pi)
-    roots = find_root(characteristic, lo, m * math.pi + math.pi / 2.0)
-    k = 2.0 * math.sqrt(2.0) * roots / np.sqrt(4.0 * roots * roots + 5.0)
-    return CaseStudySpectrum(roots, -roots * roots, k)
+    d = model.D
+    pts = np.arange(2 * N + 3) * (math.pi / 2.0)
+    pts[0] = math.ulp(0.0)
+    sign = np.sign(characteristic(pts, d))
+    # a root on a point ends one bracket, and that point starts none
+    i = np.flatnonzero((sign[:-1] != 0.0) & (sign[:-1] != sign[1:]))[:N]
+    roots = find_root(lambda s: characteristic(s, d), pts[i], pts[i + 1])
+    k = 2.0 * math.sqrt(2.0) * d * roots / np.sqrt(4.0 * d * d * roots * roots + (4.0 * d + 1.0))
+    return CaseStudySpectrum(roots, -d * roots * roots, k, d)
 
 
 def closed_form_eigenfunction(spec: CaseStudySpectrum, n, grid: Grid) -> GridFunction:
-    """phi_n(z) = k_n [cos(s_n z) + sin(s_n z)/(2 s_n)] with exact derivatives;
+    """phi_n(z) = k_n [cos(s_n z) + sin(s_n z)/(2 D s_n)] with exact derivatives;
     for an array of indices n, the family of those modes."""
     n = np.asarray(n)
     if not np.all((1 <= n) & (n <= spec.N)):
         raise ValueError("mode index out of range")
     # a trailing axis, so an array of indices gives one row per mode
-    s, k = spec.s[n - 1][..., None], spec.k[n - 1][..., None]
+    s, k, d = spec.s[n - 1][..., None], spec.k[n - 1][..., None], spec.D
     cos, sin = np.cos(s * grid.nodes), np.sin(s * grid.nodes)
-    values = k * (cos + sin / (2.0 * s))
-    return GridFunction(grid, values, deriv=k * (-s * sin + cos / 2.0), deriv2=-s * s * values)
+    values = k * (cos + sin / (2.0 * d * s))
+    return GridFunction(grid, values, k * (-s * sin + cos / (2.0 * d)), -s * s * values)
 
 
 def _ritz_extremes(A: np.ndarray, B: np.ndarray) -> Tuple[float, float]:
@@ -296,17 +300,11 @@ class ObservabilityReport:
 
 
 def boundary_trace_closed_form(spec: CaseStudySpectrum, z0: float) -> np.ndarray:
-    """phi_{n,1/2}(z0) for z0 in {0, 1}, signed, by the closed forms."""
-    s = spec.s
-    root = np.sqrt(4.0 * s * s + 5.0)
-    if z0 == 0.0:
-        return 2.0 * math.sqrt(2.0) / root
-    if z0 == 1.0:
-        return (
-            2.0 * math.sqrt(2.0) * np.cos(s) / root
-            * (4.0 * s * s + 1.0) / (4.0 * s * s - 1.0)
-        )
-    raise ValueError("closed-form traces exist only at z0 = 0 or 1")
+    """phi_{n,1/2}(z0) = phi_n(z0) / (sqrt(D) s_n) at mu = 0, signed, for z0 in [0, 1]."""
+    if not 0.0 <= z0 <= 1.0:
+        raise ValueError("closed-form traces exist only for z0 in [0, 1]")
+    s, d = spec.s, spec.D
+    return spec.k * (np.cos(s * z0) + np.sin(s * z0) / (2.0 * d * s)) / (math.sqrt(d) * s)
 
 
 def observability_test(

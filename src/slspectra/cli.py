@@ -187,7 +187,7 @@ def cmd_eigs(args):
         "bc_a": res[0].tolist(),
         "bc_b": res[1].tolist(),
     }
-    if model is not None and model.D == 1.0:
+    if model is not None:
         doc["case_study"] = solve_case_study(model, N).to_dict()
     passed = not (gram_err > tolerances["orthonormality"] or max_bc > tolerances["bc_residual"])
     return doc, passed, tolerances, config_text
@@ -371,30 +371,34 @@ def _suite_semigroup(seed: int):
 
 def _suite_casestudy(seed: int):
     checks = []
-    model = DCRModel(1.0, 0.75)
-    spec = solve_case_study(model, 20)
-    res = float(spec.residuals().max())
-    checks.append(("char_residual_1e-10", res <= 1e-10, res))
     grid = make_grid(Interval(0.0, 1.0), panels=96)
-    phi = closed_form_eigenfunction(spec, np.arange(1, 21), grid)
-    nrm_err = float(np.max(np.abs(np.sqrt(phi.values ** 2 @ grid.weights) - 1.0)))
-    checks.append(("kn_normalization_1e-8", nrm_err <= 1e-8, nrm_err))
-    # the solver's rescaled basis (mu = 0), checked against the closed forms
-    prob = transformed_problem(model)
-    fs = _fractional_space(solve_spectrum(prob, N=20), 0.5, model)
-    half = rescaled_basis(fs)
-    gerr = float(np.max(np.abs(form_inner_product(prob, half, half, fs.mu) - np.eye(20))))
-    checks.append(("h1_gram_identity_1e-6", gerr <= 1e-6, gerr))
-    corpus = trig_corpus(grid, 16)  # Ritz constants over 16 Neumann cosines
-    c = poincare_check(corpus)
-    checks.append(("poincare_min_1_4", c >= 0.25, c))
-    rep = norm_equivalence(corpus)
-    checks.append(("equivalence_min_1_8", rep.min_ratio >= 0.125 - 1e-10, rep.min_ratio))
-    for z0 in (0.0, 1.0):
-        r = observability_test(fs, z0)
-        checks.append((f"observability_z0_{int(z0)}", r.verdict, r.minimum))
-        gap = float(np.max(np.abs(r.values - np.abs(boundary_trace_closed_form(spec, z0)))))
-        checks.append((f"trace_vs_closed_z0_{int(z0)}_1e-8", gap <= 1e-8, gap))
+    for model, tag in ((DCRModel(1.0, 0.75), ""), (DCRModel(0.05, 0.75), "_D0.05")):
+        spec = solve_case_study(model, 20)
+        res = float(spec.residuals().max())
+        checks.append(("char_residual_1e-10" + tag, res <= 1e-10, res))
+        phi = closed_form_eigenfunction(spec, np.arange(1, 21), grid)
+        nrm_err = float(np.max(np.abs(np.sqrt(phi.values ** 2 @ grid.weights) - 1.0)))
+        checks.append(("kn_normalization_1e-8" + tag, nrm_err <= 1e-8, nrm_err))
+        # the solver's rescaled basis (mu = 0), checked against the closed forms
+        prob = transformed_problem(model)
+        fs = _fractional_space(solve_spectrum(prob, N=20), 0.5, model)
+        half = rescaled_basis(fs)
+        gerr = float(np.max(np.abs(form_inner_product(prob, half, half, fs.mu) - np.eye(20))))
+        checks.append(("h1_gram_identity_1e-6" + tag, gerr <= 1e-6, gerr))
+        if tag:  # suite eigs checks the D = 1 eigenvalues; the corpus has no D
+            gap = float(np.max(np.abs(fs.dec.eigenvalues - spec.lam)))
+            checks.append(("dcr_transformed_vs_closed_1e-8" + tag, gap <= 1e-8, gap))
+        else:
+            corpus = trig_corpus(grid, 16)  # Ritz constants over 16 Neumann cosines
+            c = poincare_check(corpus)
+            checks.append(("poincare_min_1_4", c >= 0.25, c))
+            rep = norm_equivalence(corpus)
+            checks.append(("equivalence_min_1_8", rep.min_ratio >= 0.125 - 1e-10, rep.min_ratio))
+        for z0 in (0.0, 1.0):
+            r = observability_test(fs, z0)
+            checks.append((f"observability_z0_{int(z0)}{tag}", r.verdict, r.minimum))
+            gap = float(np.max(np.abs(r.values - np.abs(boundary_trace_closed_form(spec, z0)))))
+            checks.append((f"trace_vs_closed_z0_{int(z0)}_1e-8{tag}", gap <= 1e-8, gap))
     return checks
 
 

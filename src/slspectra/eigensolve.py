@@ -111,7 +111,8 @@ ZERO_EIGENVALUE_TOL = 10.0 * ROOT_RTOL
 
 
 class EigenvalueBracketError(RuntimeError):
-    """An eigenvalue could not be bracketed, or its bracket did not close.
+    """An eigenvalue could not be bracketed, its bracket did not close, or the
+    eigenpair came out not finite.
 
     The message names the index, the window of L = -lambda searched (in the
     caller's units) and the Pruefer form at its upper end.
@@ -606,9 +607,11 @@ class _Shooter:
         ends = self.scaled.coeffs(np.array([0.0, 1.0]))
         for v, c in zip((self.p_s, self.q_s, self.rho_s, self.dp_s), ends):
             v[[0, -1]] = c
-        # The scaled form is used where L rho - q >= 1 (a margin of 1) at
-        # every node.  As rho > 0, that is L >= (q + 1)/rho there.
-        self.lam_star = float(np.max((self.q_s + 1.0) / self.rho_s))
+        # The scaled form is used where L rho - q >= 1 at every node, or where
+        # L - q/rho >= 1 at every node (rho > 0): the lower threshold wins, and
+        # the second does not grow as a weight falls by decades.
+        q, rho = self.q_s, self.rho_s
+        self.lam_star = min(float(np.max((q + 1.0) / rho)), float(np.max(q / rho)) + 1.0)
 
     def is_scaled(self, lams: np.ndarray) -> np.ndarray:
         return lams >= self.lam_star
@@ -811,8 +814,13 @@ def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
 
     lo, hi, flo, fhi = _search(sh, lo, hi, flo, fhi, kvec)
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
-
-    return SpectralDecomposition(prob, -sh.unit.lam(root), grid, *sh.recover(root))
+    lams, modes = -sh.unit.lam(root), sh.recover(root)
+    rows = np.all([np.isfinite(v).all(axis=1) for v in modes], axis=0)
+    for layer, ok in (("search", np.isfinite(lams)), ("recovery", rows)):
+        if not ok.all():  # a bug to report, not an input error
+            k = int(np.argmin(ok))
+            raise _bracket_error(sh, k, f"not finite after {layer}", lo[k], hi[k])
+    return SpectralDecomposition(prob, lams, grid, *modes)
 
 
 # ---------------------------------------------------------------------------

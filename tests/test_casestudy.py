@@ -88,18 +88,69 @@ def test_characteristic_roots(cs_spec50):
     assert np.all(cs_spec50.s[1:] < m * math.pi + math.pi / 2.0)
 
 
+# small D puts the first roots in the upper half of their period, large D in the
+# lower half; at D = 1/pi and 1/(3 pi) a root lies on a half-period point
+D_VALUES = (1e-3, 0.01, 0.02, 0.05, 0.2, 1.0 / math.pi - 1e-3, 1.0 / math.pi,
+            1.0 / math.pi + 1e-3, 1.0 / (3.0 * math.pi), 1.0, 2.0, 10.0, 100.0)
+
+
 def test_root_brackets_change_sign():
-    # solve_case_study brackets root m + 1 by (m pi, m pi + pi/2), where
-    # g = -4 m pi (-1)^m and (-1)^m (4 s^2 - 1); the first root by (1/2, pi/2)
+    # g_D(m pi) = -4 D m pi (-1)^m and g_D(m pi + pi/2) = (-1)^m (4 D^2 s^2 - 1),
+    # so each half period with a sign change holds one root
     m = np.arange(1, 10_001, dtype=float)
-    lo = np.concatenate([[0.5], m * math.pi])
-    hi = np.concatenate([[math.pi / 2.0], m * math.pi + math.pi / 2.0])
-    assert np.all(characteristic(lo) * characteristic(hi) < 0.0)
+    for D in D_VALUES:
+        assert np.array_equal(np.sign(characteristic(m * math.pi, D)), (-1.0) ** (m + 1))
+        s = m * math.pi + math.pi / 2.0
+        far = np.abs(4.0 * D * D * s * s - 1.0) > 1e-6
+        assert np.array_equal(np.sign(characteristic(s, D))[far],
+                              ((-1.0) ** m * np.sign(4.0 * D * D * s * s - 1.0))[far])
+        # a dense scan of g_D over (0, N pi) finds the N roots, one in each
+        # period, and solve_case_study returns them, none missed
+        N = 10
+        roots = solve_case_study(DCRModel(D, 0.75), N).s
+        x = np.linspace(0.0, N * math.pi, 400_003)[1:]
+        cell = np.flatnonzero(np.diff(np.sign(characteristic(x, D))) != 0.0)
+        assert cell.size == N, D
+        assert np.all((x[cell] <= roots) & (roots <= x[cell + 1])), D
+        assert np.all((np.arange(N) * math.pi < roots) & (roots < m[:N] * math.pi)), D
+
+
+def test_roots_against_an_mpmath_reference():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for D in D_VALUES:
+        d = mpmath.mpf(D)
+        g = lambda s: mpmath.sin(s) * (4 * d * d * s * s - 1) - 4 * d * s * mpmath.cos(s)
+        s = solve_case_study(DCRModel(D, 0.75), 20).s
+        ref = np.array([float(mpmath.findroot(g, mpmath.mpf(x))) for x in s])
+        # within two doubles: the double nearest the root, or one with as small a |g_D|
+        assert np.all(np.abs(s - ref) <= 2.0 * np.spacing(ref)), D
+
+
+def test_closed_forms_at_every_D(std_grid):
+    # k_n against quadrature of phi_n^2, and the solver on the transformed
+    # problem against lambda_n = -D s_n^2
+    for D in D_VALUES:
+        model = DCRModel(D, 0.75)
+        spec = solve_case_study(model, 10)
+        phi = closed_form_eigenfunction(spec, np.arange(1, 11), std_grid)
+        assert np.max(np.abs(phi.values ** 2 @ std_grid.weights - 1.0)) <= 1e-14, D
+        # the traces phi_n(z0) / (sqrt(D) s_n) at mu = 0, at the ends of the grid
+        for z0, end in ((0.0, 0), (1.0, -1)):
+            trace = phi.values[:, end] / (math.sqrt(D) * spec.s)
+            assert np.max(np.abs(boundary_trace_closed_form(spec, z0) - trace)) <= 1e-14, D
+        assert np.array_equal(spec.lam, -D * spec.s * spec.s)
+        lam = solve_spectrum(transformed_problem(model), N=10).eigenvalues
+        assert np.max(np.abs(lam / spec.lam - 1.0)) <= 1e-13, D
 
 
 def test_guards(model):
-    with pytest.raises(ValueError):
-        solve_case_study(DCRModel(2.0, 0.75), 5)
+    # D = 2 has its own closed forms, which the solver matches
+    other = DCRModel(2.0, 0.75)
+    spec = solve_case_study(other, 5)
+    lam = solve_spectrum(transformed_problem(other), N=5).eigenvalues
+    assert np.max(np.abs(lam / spec.lam - 1.0)) <= 1e-13
+    assert np.max(spec.residuals()) <= 1e-10
     with pytest.raises(ValueError):
         solve_case_study(model, 0)
     for bad in (2.5, 3.0, "3"):
@@ -110,9 +161,9 @@ def test_guards(model):
 
 def test_roots_are_the_double_with_the_smallest_residual(model):
     s = solve_case_study(model, 200).s
-    g = np.abs(characteristic(s))
-    assert np.all(g <= np.abs(characteristic(np.nextafter(s, 0.0))))
-    assert np.all(g <= np.abs(characteristic(np.nextafter(s, np.inf))))
+    g = np.abs(characteristic(s, 1.0))
+    assert np.all(g <= np.abs(characteristic(np.nextafter(s, 0.0), 1.0)))
+    assert np.all(g <= np.abs(characteristic(np.nextafter(s, np.inf), 1.0)))
 
 
 def test_normalization_constants(cs_spec50, std_grid):
@@ -367,9 +418,12 @@ def test_observability_forced_zero():
     assert report.minimum == 0.0
 
 
-def test_observability_interior_point_rejected(transformed_dec50):
+def test_observability_interior_point_rejected(transformed_dec50, cs_spec50):
     with pytest.raises(ValueError):
         observability_test(fractional_space(transformed_dec50, 0.5, mu=0.0), 0.5)
+    for z0 in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"z0 in \[0, 1\]"):
+            boundary_trace_closed_form(cs_spec50, z0)
 
 
 def test_eigenrelation_through_weighted_coefficients(model, weighted_dec, std_grid):

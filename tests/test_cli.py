@@ -76,6 +76,18 @@ def test_eigs_dcr_includes_case_study(dcr_config, tmp_path):
     assert np.allclose(doc["eigenvalues"], cs["lambda"], rtol=1e-9)
 
 
+@pytest.mark.parametrize("D", (0.05, 2.0))
+def test_eigs_dcr_includes_case_study_at_any_D(D, tmp_path):
+    cfg = tmp_path / "dcr.json"
+    cfg.write_text(json.dumps({"preset": "dcr", "D": D}))
+    out = str(tmp_path / "dcr-eigs.json")
+    assert main(["eigs", str(cfg), "--modes", "10", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    cs = doc["case_study"]
+    assert max(cs["residuals"]) <= 1e-10
+    assert np.allclose(doc["eigenvalues"], cs["lambda"], rtol=1e-13, atol=0.0)
+
+
 def test_malformed_expression_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({

@@ -28,7 +28,7 @@ from slspectra.eigensolve import (
     synthesize,
 )
 from slspectra.fracspace import fractional_space, in_domain_alpha
-from slspectra.casestudy import transformed_problem, dcr_sl_problem
+from slspectra.casestudy import DCRModel, dcr_sl_problem, solve_case_study, transformed_problem
 
 
 def test_dirichlet_eigenvalues(dirichlet_dec):
@@ -94,6 +94,38 @@ def test_weighted_route_agrees_after_shift(weighted_dec, cs_spec50, model):
     exact = cs_spec50.lam[:10] - model.kappa
     gap = np.abs(weighted_dec.eigenvalues - exact)
     assert np.max(gap / np.abs(exact)) < 1e-7
+
+
+@pytest.mark.parametrize("D", (0.05, 0.02))
+def test_weighted_dcr_at_small_D(D):
+    # rho = e^(-z/D) falls by 9 and 22 decades.  With the margin of 1 only in
+    # L rho - q, every index shot the plain form: at D = 0.05 the eigenvalue
+    # was 7.3e-5 off after 2.3 s, at D = 0.02 the modes were nan.
+    model = DCRModel(D, 0.75)
+    dec = solve_spectrum(dcr_sl_problem(model), N=1)
+    assert all(np.all(np.isfinite(v)) for v in (dec.values, dec.deriv, dec.deriv2))
+    exact = solve_case_study(model, 1).lam[0] - model.kappa
+    # the bound of verify's dcr_transformed_vs_closed_1e-8
+    assert abs(dec.eigenvalues[0] - exact) <= 1e-8, (dec.eigenvalues[0], exact)
+
+
+@pytest.mark.parametrize("layer", ["search", "recovery"])
+def test_non_finite_result_names_index_form_and_layer(layer, dirichlet_problem, monkeypatch):
+    if layer == "recovery":
+        recover = eigensolve._Shooter.recover
+
+        def nan_recover(self, lams):
+            values, deriv, deriv2 = recover(self, lams)
+            deriv[1] = np.nan
+            return values, deriv, deriv2
+
+        monkeypatch.setattr(eigensolve._Shooter, "recover", nan_recover)
+    else:
+        monkeypatch.setattr(eigensolve._UnitMap, "lam",
+                            lambda self, lam_hat: np.where(lam_hat > 20.0, np.inf, lam_hat))
+    message = rf"eigenvalue 2 not finite after {layer}: L in \[.*\], scaled Pruefer form at hi"
+    with pytest.raises(eigensolve.EigenvalueBracketError, match=message):
+        solve_spectrum(dirichlet_problem, N=3)
 
 
 def test_weighted_eigenrelation(weighted_dec, model):
@@ -286,9 +318,11 @@ def test_interpolated_search_work(anchor_counts):
 
 
 def test_dop853_work(anchor_counts):
-    # Dormand-Prince 5(4) steps made 25.0k and 17.5k RHS calls in the same 9
-    # and 13 integrations
-    for name, max_integrate, max_rhs in (("p1z2", 9, 16_000), ("dcr", 13, 11_000)):
+    # Dormand-Prince 5(4) steps made 25.0k and 17.5k RHS calls in 9 and 13
+    # integrations; on the weighted DCR the margin of 1 in lambda units (see
+    # test_form_threshold_is_the_node_rule) took 13 integrations and 9565
+    # RHS calls to 9 and 8850
+    for name, max_integrate, max_rhs in (("p1z2", 9, 16_000), ("dcr", 9, 8_850)):
         counts = anchor_counts[name]
         assert counts["integrate"] <= max_integrate, (name, counts)
         assert counts["rhs"] <= max_rhs, (name, counts)
@@ -305,15 +339,17 @@ def test_dop853_work(anchor_counts):
 )
 def test_form_threshold_is_the_node_rule(prob):
     # lambda >= lambda* shoots the scaled form exactly where lambda rho - q >= 1
-    # at s = 0, every node and s = 1 (all in unit variables).  Within 4 ulp of
-    # lambda* rounding may decide either way; either form is valid there.
+    # at s = 0, every node and s = 1, or lambda - q / rho >= 1 there (all in
+    # unit variables).  Within 4 ulp of lambda* rounding may decide either
+    # way; either form is valid there.
     sh = eigensolve._Shooter(prob, make_grid(prob.interval))
     star = sh.lam_star
     rng = np.random.default_rng(11)
     n = 2500
     lams = star + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, 1.0, n) * max(1.0, abs(star))
     lams = lams[np.abs(lams - star) > 4.0 * np.spacing(star)]
-    rule = np.min(lams[:, None] * sh.rho_s - sh.q_s, axis=1) >= 1.0
+    rule = ((np.min(lams[:, None] * sh.rho_s - sh.q_s, axis=1) >= 1.0)
+            | (np.min(lams[:, None] - sh.q_s / sh.rho_s, axis=1) >= 1.0))
     assert np.array_equal(sh.is_scaled(lams), rule)
     assert 0 < np.count_nonzero(rule) < lams.size
 
