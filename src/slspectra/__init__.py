@@ -8,73 +8,18 @@ independent finite-difference oracle.  A diffusion-convection-reaction
 case study exercises the whole stack with closed-form references.
 """
 
-from .core import (
-    BracketError,
-    Grid,
-    GridFunction,
-    GridMismatchError,
-    Interval,
-    MissingDerivativeError,
-    SLProblem,
-    apply_operator,
-    bc_residual,
-    boundary_derivatives,
-    boundary_values,
-    find_root,
-    form_inner_product,
-    grid_function,
-    inner_product_rho,
-    integrate,
-    make_grid,
-    norm_rho,
-)
-from .expressions import CoeffExpr, ExprSyntaxError, parse_coeff
-from .eigensolve import (
-    EigenvalueBracketError,
-    ModalCoefficients,
-    SpectralDecomposition,
-    coefficients_of,
-    solve_spectrum,
-    synthesize,
-)
-from .fracspace import (
-    FractionalSpace,
-    TailReport,
-    apply_A_alpha,
-    coercivity_gap,
-    fractional_apply,
-    fractional_space,
-    in_domain_alpha,
-    inner_product_alpha,
-    norm_alpha,
-    rescaled_basis,
-    scaling_identity_check,
-)
-from .semigroup import (
-    SemigroupTrajectory,
-    evolve,
-    growth_bound,
-    is_compact,
-    is_exponentially_stable,
-    trajectory,
-    trajectory_to_csv,
-)
-from .oracle import FDOperator, assemble, crank_nicolson, fd_eigs, fd_eigs_extrapolated
-from .casestudy import (
-    CaseStudySpectrum,
-    DCRModel,
-    EquivalenceReport,
-    ObservabilityReport,
-    closed_form_eigenfunction,
-    dcr_sl_problem,
-    norm_equivalence,
-    observability_from_values,
-    observability_test,
-    poincare_check,
-    solve_case_study,
-    transform_state,
-    transformed_problem,
-    trig_corpus,
-)
+# each module's __all__ is the one declaration of its public names; cli is
+# not imported, so that importing the package loads neither scipy nor jsonschema
+from . import casestudy, core, eigensolve, expressions, fracspace, oracle, semigroup
+from .core import *
+from .expressions import *
+from .eigensolve import *
+from .fracspace import *
+from .semigroup import *
+from .oracle import *
+from .casestudy import *
+
+_MODULES = (core, expressions, eigensolve, fracspace, semigroup, oracle, casestudy)
+__all__ = [name for module in _MODULES for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ the oracle the solver's traces are checked against.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Literal, Optional, Tuple
 
@@ -42,6 +41,7 @@ from .core import (
     GridFunction,
     Interval,
     SLProblem,
+    _check_count,
     find_root,
     form_inner_product,
     inner_product_rho,
@@ -185,8 +185,7 @@ def solve_case_study(model: DCRModel, N: int) -> CaseStudySpectrum:
     call bisects all N brackets, so each root is the double with the smaller
     |g_D| of the two adjacent doubles around the zero.
     """
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    _check_count("N", N, 1)
     d = model.D
     pts = np.arange(2 * N + 3) * (math.pi / 2.0)
     pts[0] = math.ulp(0.0)
@@ -271,6 +270,7 @@ def trig_corpus(grid: Grid, size: int) -> GridFunction:
     """The family cos(k pi z), k = 0 .. size - 1, with exact derivatives: the
     Neumann eigenfunctions, an orthogonal basis of H^1(0, 1), so their Gram
     matrices stay well conditioned."""
+    _check_count("size", size, 0)
     w = np.arange(size)[:, None] * math.pi
     c, s = np.cos(w * grid.nodes), np.sin(w * grid.nodes)
     return GridFunction(grid, c, -w * s, -w * w * c)

@@ -46,6 +46,12 @@ DEFAULT_PANELS = 64
 DEFAULT_POINTS = 8
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an integer (numpy's too) >= minimum."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 class BracketError(ValueError):
     """find_root called without a sign change (or with non-finite values)."""
 
@@ -95,8 +101,7 @@ class Grid:
 def make_grid(interval: Interval, panels: int = DEFAULT_PANELS) -> Grid:
     """panels Gauss-Legendre panels of DEFAULT_POINTS nodes each, between a
     and b as the first and last nodes, which have weight 0."""
-    if not isinstance(panels, numbers.Integral) or panels < 1:
-        raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
+    _check_count("panels", panels, 1)
     x, w = np.polynomial.legendre.leggauss(DEFAULT_POINTS)
     a, b = interval.a, interval.b
     h = interval.length / panels

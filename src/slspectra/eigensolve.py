@@ -15,9 +15,10 @@ with S = sqrt(p (L rho - q)):
 Both are evaluated in double angles (sin theta cos theta = sin(2 theta)/2,
 sin^2 theta = (1 - cos 2 theta)/2), which takes fewer array operations.
 Written as f = r sin(theta) / S, the plain form has S = 1.  One threshold,
-L* = max((q + 1)/rho) over the grid nodes, a and b among them, is computed
-per solve: L >= L* is shot in the scaled form (L rho - q >= 1 at every one
-of those points), L < L* in the plain form.
+L* = min(max((q^ + 1)/rho^), max(q^/rho^) + 1) over the grid nodes, a and b
+among them, is computed per solve in the units-free q^ and rho^ below:
+L >= L* is shot in the scaled form, where L rho^ - q^ >= 1 at every node or
+L - q^/rho^ >= 1 at every node, and L < L* in the plain form.
 
 The scaled form removes the fast oscillation from the right-hand side (for
 constant coefficients theta' is exactly omega), which is what makes high
@@ -68,7 +69,6 @@ map is exactly the identity.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List
 
@@ -81,6 +81,7 @@ from .core import (
     GridFunction,
     GridMismatchError,
     SLProblem,
+    _check_count,
     inner_product_rho,
     make_grid,
 )
@@ -770,8 +771,7 @@ def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
     runs at relative tolerance ODE_RTOL, and every bracket is closed to
     ROOT_RTOL.
     """
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    _check_count("N", N, 1)
     grid = make_grid(prob.interval, max(DEFAULT_PANELS, N))
     sh = _Shooter(prob, grid)  # from here on, everything is in unit variables
     kvec = np.arange(N, dtype=float)

@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import SLProblem
+from .core import SLProblem, _check_count
 
 __all__ = ["FDOperator", "assemble", "fd_eigs", "fd_eigs_extrapolated", "crank_nicolson"]
 
@@ -54,8 +54,7 @@ def assemble(prob: SLProblem, M: int) -> FDOperator:
     node with a half cell and the flux p f' replaced via the boundary
     condition, which is second-order accurate.
     """
-    if M < 16:
-        raise ValueError("need M >= 16")
+    _check_count("M", M, 16)
     a, b = prob.interval.a, prob.interval.b
     h = (b - a) / M
     nodes = a + h * np.arange(M + 1)
@@ -107,7 +106,8 @@ def fd_eigs(op: FDOperator, k: int) -> Tuple[np.ndarray, np.ndarray]:
     from scipy.linalg import eigh_tridiagonal
 
     n = op.size
-    if not 1 <= k <= n:
+    _check_count("k", k, 1)
+    if k > n:
         raise ValueError("k out of range")
     d, e = op.symmetric_tridiagonal()
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(n - k, n - 1))

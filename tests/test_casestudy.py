@@ -144,7 +144,7 @@ def test_closed_forms_at_every_D(std_grid):
         assert np.max(np.abs(lam / spec.lam - 1.0)) <= 1e-13, D
 
 
-def test_guards(model):
+def test_guards(model, std_grid):
     # D = 2 has its own closed forms, which the solver matches
     other = DCRModel(2.0, 0.75)
     spec = solve_case_study(other, 5)
@@ -157,6 +157,10 @@ def test_guards(model):
         with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {bad!r}"):
             solve_case_study(model, bad)
     assert solve_case_study(model, np.int64(3)).N == 3
+    for bad in (2.5, -1, "3"):
+        with pytest.raises(ValueError, match=f"size must be an integer >= 0, got {bad!r}"):
+            trig_corpus(std_grid, bad)
+    assert trig_corpus(std_grid, np.int64(3)).values.shape[0] == 3
 
 
 def test_roots_are_the_double_with_the_smallest_residual(model):

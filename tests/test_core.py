@@ -268,3 +268,17 @@ def test_family_checks_grid_derivatives_and_shapes():
         integrate(F)
     with pytest.raises(ValueError, match="norm_rho takes one function, not a family"):
         norm_rho(F, prob.rho)
+
+
+def test_package_exports_each_module_all():
+    import importlib
+
+    import slspectra
+
+    names = ("core", "expressions", "eigensolve", "fracspace", "semigroup", "oracle", "casestudy")
+    modules = [importlib.import_module(f"slspectra.{name}") for name in names]
+    assert slspectra.__all__ == [n for m in modules for n in m.__all__]
+    assert len(set(slspectra.__all__)) == len(slspectra.__all__)
+    for m in modules:
+        for n in m.__all__:
+            assert getattr(slspectra, n) is getattr(m, n), (m.__name__, n)

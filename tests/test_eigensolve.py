@@ -554,6 +554,21 @@ def test_ladder_expands_upwards_below_zero(q, N, monkeypatch):
     assert np.max(np.abs(dec.eigenvalues - exact) / np.abs(exact)) < 1e-10
 
 
+def test_ladder_pushes_lower_edge_below_robin_eigenvalue(monkeypatch):
+    # f'(0) + 5 f(0) = 0 puts lambda_1 = 25 above 1 - min(q / rho), so the
+    # ladder's bottom, -1 in L = -lambda, is pushed down by 10, then by 20
+    ladders = []
+    miss = eigensolve._Shooter.miss
+    monkeypatch.setattr(eigensolve._Shooter, "miss",
+                        lambda sh, lams, kidx: ladders.append(np.array(lams)) or miss(sh, lams, kidx))
+    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, 5.0), (1.0, 0.0))
+    dec = solve_spectrum(prob, N=3)
+    assert ladders[0][0] == -1.0 and ladders[1].tolist() == [-11.0] and ladders[2].tolist() == [-31.0]
+    # k^2 with k tanh k = 5, then -s^2 with s tan s = -5, to 15 digits
+    exact = np.array([25.0045362875995, -3.76789959117967, -30.8009478311256])
+    assert np.max(np.abs(dec.eigenvalues / exact - 1.0)) < 1e-10
+
+
 class _NoisyMiss:
     """A batched miss x - r_k + 1e-12 sin(1e15 (x - r_k)): many sign changes
     within 1e-12 of each root r_k, and exactly 0 at r_k itself."""

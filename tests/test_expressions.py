@@ -1,6 +1,7 @@
 """Expression grammar: parsing, evaluation, differentiation, round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,15 +56,21 @@ def test_unparse_reparse_round_trip():
 
 
 def test_syntax_error_reports_offset():
-    with pytest.raises(ExprSyntaxError) as exc:
-        parse_coeff("exp(")
-    assert exc.value.offset == 4
-    with pytest.raises(ExprSyntaxError):
-        parse_coeff("2 +")
-    with pytest.raises(ExprSyntaxError):
-        parse_coeff("foo(z)")
-    with pytest.raises(ExprSyntaxError):
-        parse_coeff("")
+    table = [
+        ("exp(", 4, "unexpected token"),
+        ("2 +", 3, "unexpected token"),
+        ("foo(z)", 0, "unknown identifier"),
+        ("", 0, "empty expression"),
+        ("z $ 1", 2, "unexpected character"),
+        ("1 2", 2, "unexpected trailing input"),
+        ("1.2.3", 0, "bad number literal"),
+        ("exp z", 4, "expected '('"),
+        ("sin(z", 5, "expected ')'"),
+    ]
+    for source, offset, message in table:
+        with pytest.raises(ExprSyntaxError, match=re.escape(message)) as exc:
+            parse_coeff(source)
+        assert exc.value.offset == offset, source
 
 
 @pytest.mark.parametrize("src, offset", [("1e400", 0), ("z + 2*1E+999", 6)])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from slspectra.core import inner_product_rho
-from slspectra.eigensolve import ModalCoefficients, coefficients_of
+from slspectra.core import grid_function, inner_product_rho
+from slspectra.eigensolve import ModalCoefficients, coefficients_of, solve_spectrum
 from slspectra.fracspace import (
     FractionalSpace,
     apply_A_alpha,
@@ -134,8 +134,6 @@ def test_scaling_identity(dirichlet_dec):
 
 
 def test_domain_alpha_tail_verdicts(dirichlet_dec):
-    from slspectra.core import grid_function
-
     fs2 = fractional_space(dirichlet_dec, 2.0, mu=0.0)
     f = grid_function(dirichlet_dec.grid, lambda z: z)
     c = coefficients_of(f, dirichlet_dec)
@@ -144,6 +142,22 @@ def test_domain_alpha_tail_verdicts(dirichlet_dec):
     e1 = np.zeros(20)
     e1[0] = 1.0
     assert in_domain_alpha(fs2, ModalCoefficients(e1, dirichlet_dec)).verdict == "in"
+
+
+@pytest.mark.parametrize("N", [50, 150])
+def test_domain_alpha_thresholds_on_symmetric_data(N, dirichlet_problem, neumann_problem):
+    # X_alpha = H^(2 alpha) below the threshold, where the boundary conditions
+    # enter; every one of these f has infinitely many coefficients that are 0
+    # exactly (Fujiwara 1967; Grisvard 1967)
+    dirichlet = solve_spectrum(dirichlet_problem, N)
+    neumann = solve_spectrum(neumann_problem, N)
+    cases = [(dirichlet, lambda z: np.ones_like(z), 0.25), (neumann, lambda z: z, 0.75),
+             (dirichlet, lambda z: z * (1.0 - z), 1.25)]
+    for dec, f, threshold in cases:
+        c = coefficients_of(grid_function(dec.grid, f), dec)
+        for offset, verdict in ((-0.15, "in"), (0.15, "out")):
+            report = in_domain_alpha(fractional_space(dec, threshold + offset), c)
+            assert report.verdict == verdict, (threshold, offset, report)
 
 
 def test_domain_alpha_rejects_non_finite_coefficients(dirichlet_dec):

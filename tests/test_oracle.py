@@ -1,6 +1,7 @@
 """Finite-difference oracle: convergence order, spectral agreement, time stepping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,5 +233,13 @@ def test_crank_nicolson_time_zero_returns_copy(dirichlet_problem):
 
 
 def test_assemble_validation(dirichlet_problem):
-    with pytest.raises(ValueError):
-        assemble(dirichlet_problem, M=8)
+    for bad in (8, 20.0, 20.5, "20"):
+        with pytest.raises(ValueError, match=re.escape(f"M must be an integer >= 16, got {bad!r}")):
+            assemble(dirichlet_problem, M=bad)
+    op = assemble(dirichlet_problem, M=np.int64(20))
+    for bad in (0, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 1, got {bad!r}")):
+            fd_eigs(op, bad)
+    with pytest.raises(ValueError, match="k out of range"):
+        fd_eigs(op, op.size + 1)
+    assert fd_eigs(op, np.int64(op.size))[0].size == op.size
