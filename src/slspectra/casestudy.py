@@ -201,7 +201,9 @@ def closed_form_eigenfunction(spec: CaseStudySpectrum, n, grid: Grid) -> GridFun
     """phi_n(z) = k_n [cos(s_n z) + sin(s_n z)/(2 D s_n)] with exact derivatives;
     for an array of indices n, the family of those modes."""
     n = np.asarray(n)
-    if not np.all((1 <= n) & (n <= spec.N)):
+    for m in n.ravel().tolist():
+        _check_count("n", m, 1)
+    if np.any(n > spec.N):
         raise ValueError("mode index out of range")
     # a trailing axis, so an array of indices gives one row per mode
     s, k, d = spec.s[n - 1][..., None], spec.k[n - 1][..., None], spec.D

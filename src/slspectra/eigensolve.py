@@ -53,7 +53,8 @@ controller chooses, at most DENSE_MAX_STEP long, and the nodes inside each
 accepted step are filled from its stages and three more, tabulated only for
 steps that hold nodes.  The grid's first and last nodes are a and b, so the
 boundary values come out as the first and last entries of each mode row.
-The eigenvalue search never asks for dense output.
+The eigenvalue search never asks for dense output.  The tableau is scipy's,
+read from its dop853_coefficients file without importing scipy.integrate.
 
 The solver works in units-free variables (Pryce 1993, ch. 5): with
 ell = b - a, P = p(a) and R = rho(a) it solves for s = (z - a)/ell, p/P,
@@ -68,7 +69,9 @@ map is exactly the identity.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import List
 
@@ -123,139 +126,32 @@ class EigenvalueBracketError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Dormand-Prince 8(5,3)
 
+
+def _dop853_coefficients():
+    """scipy's dop853_coefficients module, executed from its file: importing
+    scipy.integrate would add about 0.4 s and 22 MiB to `import slspectra`."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("_slspectra_dop853", path)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except FileNotFoundError:
+        import scipy  # only to name its version
+
+        raise ImportError(f"no DOP853 coefficients at {path} (scipy {scipy.__version__})")
+    return module
+
+
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10, and
 # their dop853 code).  Stages 0-11 make a step, with 8th-order weights _B (row
 # 12 of _A); stage 12 is the slope at the step's end, which is the next step's
 # stage 0; stages 13-15 serve only the dense output.  _E5 and _E3 weigh stages
 # 0-12 into the 5th- and 3rd-order error estimates, and _D weighs all 16 into
 # the top four terms of the continuous extension.
-_C = np.array([
-    0.0, 0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
-    0.281649658092772603273242802490, 0.333333333333333333333333333333,
-    0.25, 0.307692307692307692307692307692,
-    0.651282051282051282051282051282, 0.6,
-    0.857142857142857142857142857142, 1.0,
-    1.0, 0.1,
-    0.2, 0.777777777777777777777777777778,
-])
-_A = np.zeros((16, 16))
-_A[1, 0] = 5.26001519587677318785587544488e-2
-_A[2, [0, 1]] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
-_A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
-_A[4, [0, 2, 3]] = [
-    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
-    9.24834003261792003115737966543e-1,
-]
-_A[5, [0, 3, 4]] = [
-    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
-    1.25467687566822425016691814123e-1,
-]
-_A[6, [0, 3, 4, 5]] = [
-    3.7109375e-2, 1.70252211019544039314978060272e-1,
-    6.02165389804559606850219397283e-2, -1.7578125e-2,
-]
-_A[7, [0, 3, 4, 5, 6]] = [
-    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
-    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-    8.27378916381402288758473766002e-3,
-]
-_A[8, [0, 3, 4, 5, 6, 7]] = [
-    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
-    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
-]
-_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
-    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
-    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-    -2.03312017085086261358222928593e-2,
-]
-_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
-    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
-    1.09143734899672957818500254654, -8.14978701074692612513997267357,
-    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-    2.49360555267965238987089396762, -3.0467644718982195003823669022,
-]
-_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
-    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
-    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-    6.43392746015763530355970484046e-1,
-]
-_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
-    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
-    1.89151789931450038304281599044, -5.8012039600105847814672114227,
-    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
-    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
-]
-_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [
-    5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
-    -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
-    1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
-    7.56789766054569976138603589584e-3, -8.298e-3,
-]
-_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [
-    3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
-    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
-    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
-    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1,
-]
-_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [
-    -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
-    7.68342119606259904184240953878, 4.06898981839711007970213554331,
-    3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
-    2.9475147891527723389556272149, -9.15095847217987001081870187138,
-]
-_B = _A[12, :12]
-_E3 = np.append(_B, 0.0)
-_E3[[0, 8, 11]] -= [
-    0.244094488188976377952755905512, 0.733846688281611857341361741547,
-    0.220588235294117647058823529412e-1,
-]
-_E5 = np.zeros(13)
-_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
-    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
-    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
-    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
-]
-_D = np.zeros((4, 16))
-_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
-    [
-        -0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
-        -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
-        0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
-        0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
-        -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
-        -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1,
-    ],
-    [
-        0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
-        0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
-        -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
-        -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
-        0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
-        -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2,
-    ],
-    [
-        0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
-        -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
-        -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
-        -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
-        -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
-        0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2,
-    ],
-    [
-        -0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
-        -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
-        0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
-        0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
-        -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
-        -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3,
-    ],
-]
+_tableau = _dop853_coefficients()
+_A, _B, _C, _D = _tableau.A, _tableau.B, _tableau.C, _tableau.D
+_E3, _E5 = _tableau.E3, _tableau.E5
 _E = np.vstack([_E5, _E3])
 
 # Dense-output (z_out) integrations take steps of at most this length.  On
@@ -539,7 +435,8 @@ class SpectralDecomposition:
         return self.values
 
     def truncate(self, n: int) -> "SpectralDecomposition":
-        if not 1 <= n <= self.N:
+        _check_count("n", n, 1)
+        if n > self.N:
             raise ValueError("bad truncation order")
         return SpectralDecomposition(
             self.problem, self.eigenvalues[:n], self.grid,
@@ -570,10 +467,15 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class ModalCoefficients:
-    """Truncated expansion coefficients c_n = <f, phi_n>_rho."""
+    """Truncated expansion coefficients c_n = <f, phi_n>_rho, one per mode."""
 
     coefficients: np.ndarray
     decomposition: SpectralDecomposition
+
+    def __post_init__(self):
+        if np.shape(self.coefficients) != (self.decomposition.N,):
+            raise ValueError(f"coefficients of shape {np.shape(self.coefficients)} for a "
+                             f"decomposition of N = {self.decomposition.N} modes")
 
     @property
     def N(self) -> int:
@@ -765,9 +667,11 @@ def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
     Eigenfunctions come from the amplitude equation, rho-normalized, with
     phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).  Either edge of
     the bracketing ladder is pushed out at most MAX_BRACKET_EXPANSIONS times
-    before EigenvalueBracketError is raised; N must be an integer.  The grid has
-    max(DEFAULT_PANELS, N) panels of DEFAULT_POINTS Gauss points, about one
-    panel per mode, so high modes stay resolved.  Every phase integration
+    before EigenvalueBracketError is raised, as it is for a bracket still open
+    after 200 search rounds or an eigenvalue or mode row that is not finite
+    (naming the layer, search or recovery); N must be an integer.  The grid
+    has max(DEFAULT_PANELS, N) panels of DEFAULT_POINTS Gauss points, about
+    one panel per mode, so high modes stay resolved.  Every phase integration
     runs at relative tolerance ODE_RTOL, and every bracket is closed to
     ROOT_RTOL.
     """

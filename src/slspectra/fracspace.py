@@ -16,7 +16,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .core import GridFunction
+from .core import GridFunction, _check_count
 from .eigensolve import ModalCoefficients, SpectralDecomposition
 
 __all__ = [
@@ -161,8 +161,6 @@ def inner_product_alpha(
     """<f, g>_alpha = sum (mu - lambda_n)^(2 alpha) f_n g_n."""
     _check_same(fs, f)
     _check_same(fs, g)
-    if f.N != g.N:
-        raise ValueError("coefficient lengths differ")
     return float(np.sum(fs.weights(2.0 * fs.alpha) * f.coefficients * g.coefficients))
 
 
@@ -183,7 +181,8 @@ def scaling_identity_check(
     The left side goes through inner_product_alpha with the rescaled-basis
     coefficient vector, the right side through direct scaling.
     """
-    if not 1 <= n <= fs.dec.N:
+    _check_count("n", n, 1)
+    if n > fs.dec.N:
         raise ValueError("mode index out of range")
     _check_same(fs, c)
     e = np.zeros(fs.dec.N)

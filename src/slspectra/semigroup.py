@@ -33,16 +33,22 @@ _TINY = np.finfo(np.float64).tiny  # smallest positive normal
 
 def _flow(c0: ModalCoefficients, t, kappa: float) -> np.ndarray:
     """exp((lambda_n - kappa) t) c_n(0) for a time t, or one row per time of
-    a column t; subnormal magnitudes flush to zero."""
+    a column t; subnormal magnitudes flush to zero.  A coefficient that
+    overflows raises ValueError naming the first time and mode."""
     if not (math.isfinite(kappa) and ((0.0 <= t) & (t < math.inf)).all()):
         raise ValueError("times must be finite and >= 0, and kappa finite")
-    out = c0.coefficients * np.exp((c0.decomposition.eigenvalues - kappa) * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = c0.coefficients * np.exp((c0.decomposition.eigenvalues - kappa) * t)
+    out[..., c0.coefficients == 0.0] = 0.0  # 0 e^(huge) is 0, not nan
+    if not np.isfinite(out).all():
+        i, n = np.argwhere(~np.isfinite(np.atleast_2d(out)))[0]
+        raise ValueError(f"the coefficient of mode {n + 1} at t = {np.ravel(t)[i]:g} is not finite")
     out[np.abs(out) < _TINY] = 0.0
     return out
 
 
 def evolve(c0: ModalCoefficients, t: float, kappa: float = 0.0) -> ModalCoefficients:
-    """Coefficients at time t >= 0, in the decomposition of c0."""
+    """Coefficients at time t >= 0, in the decomposition of c0, all finite."""
     return ModalCoefficients(_flow(c0, np.float64(t), kappa), c0.decomposition)
 
 
@@ -78,20 +84,26 @@ def trajectory(
     alpha_space: Optional[FractionalSpace] = None,
     kappa: float = 0.0,
 ) -> SemigroupTrajectory:
-    """Evaluate the trajectory on an increasing grid of times >= 0."""
+    """Evaluate the trajectory, with finite coefficients and norms, on an
+    increasing grid of times >= 0."""
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
     states = _flow(c0, t[:, None], kappa)
-    # one dot per row, as np.linalg.norm computes it
-    norms_rho = np.sqrt([np.dot(row, row) for row in states])
-    norms_a = None
-    if alpha_space is not None:
-        _check_same(alpha_space, c0)
-        w = alpha_space.weights(2.0 * alpha_space.alpha)
-        norms_a = np.sqrt(np.maximum(np.sum(w * states * states, axis=1), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one dot per row, as np.linalg.norm computes it
+        norms_rho = np.sqrt([np.dot(row, row) for row in states])
+        norms_a = None
+        if alpha_space is not None:
+            _check_same(alpha_space, c0)
+            w = alpha_space.weights(2.0 * alpha_space.alpha)
+            norms_a = np.sqrt(np.maximum(np.sum(w * states * states, axis=1), 0.0))
+    for kind, norms in (("rho", norms_rho), ("alpha", norms_a)):
+        if norms is not None and not np.isfinite(norms).all():
+            i = np.isfinite(norms).argmin()
+            raise ValueError(f"the {kind} norm at t = {t[i]:g} is not finite")
     return SemigroupTrajectory(t, states, norms_rho, norms_a, alpha_space, kappa,
                                c0.decomposition)
 

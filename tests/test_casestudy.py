@@ -73,6 +73,20 @@ def test_transform_round_trip_and_norm_carry(model, std_grid):
         transform_state(x, model, "sideways")
 
 
+def test_transform_carries_derivatives(std_grid):
+    # at D = 1/2 forward multiplies by e^-z: xi = e^-z sin z, xi' = e^-z (cos z - sin z)
+    # and xi'' = -2 e^-z cos z; inverse gives back the derivatives of sin z
+    z = std_grid.nodes
+    x = grid_function(std_grid, np.sin, np.cos, lambda t: -np.sin(t))
+    model = DCRModel(0.5, 0.75)
+    xi = transform_state(x, model, "forward")
+    assert np.max(np.abs(xi.deriv - np.exp(-z) * (np.cos(z) - np.sin(z)))) <= 1e-13
+    assert np.max(np.abs(xi.deriv2 + 2.0 * np.exp(-z) * np.cos(z))) <= 1e-13
+    back = transform_state(xi, model, "inverse")
+    assert np.max(np.abs(back.deriv - x.deriv)) <= 1e-13
+    assert np.max(np.abs(back.deriv2 - x.deriv2)) <= 1e-13
+
+
 def test_characteristic_roots(cs_spec50):
     assert 0.5 < cs_spec50.s[0] < math.pi / 2.0
     assert cs_spec50.s[0] == pytest.approx(S1, abs=1e-13)
@@ -221,6 +235,12 @@ def test_closed_form_family_rows_are_the_single_modes(cs_spec50, std_grid):
             assert np.array_equal(getattr(family, name)[row], getattr(one, name))
     with pytest.raises(ValueError, match="out of range"):
         closed_form_eigenfunction(cs_spec50, np.array([1, 51]), std_grid)
+
+
+@pytest.mark.parametrize("n", [2.0, np.array([1.0, 2.0]), 0], ids=["float", "float-array", "zero"])
+def test_closed_form_mode_index_must_be_an_integer(cs_spec50, std_grid, n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got "):
+        closed_form_eigenfunction(cs_spec50, n, std_grid)
 
 
 def _form_pair(prob, f):

@@ -103,6 +103,27 @@ def test_schema_rejection_exits_1(tmp_path, capsys):
     cfg.write_text(json.dumps({"preset": "unknown"}))
     assert main(["eigs", str(cfg)]) == 1
     assert main(["eigs", str(tmp_path / "missing.json")]) == 1
+    cfg.write_text("{")
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["eigs", str(cfg), "--out", str(out)]) == 1
+    std = capsys.readouterr()
+    assert std.err.startswith("error: config is not valid JSON: ") and std.err.count("\n") == 1
+    assert std.out == "" and not out.exists()
+
+
+def test_simulate_overflow_exits_1(tmp_path, capsys):
+    # lambda_1 = 100 - pi^2, so e^(10 lambda_1) overflows: no Infinity in the output
+    cfg = tmp_path / "unstable.json"
+    cfg.write_text(json.dumps({
+        "interval": [0, 1], "p": "1", "q": "-100", "rho": "1", "bc_a": [0, 1], "bc_b": [0, 1],
+    }))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", str(cfg), "--x0", "z*(1-z)", "--times", "0,10", "--modes", "4",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the coefficient of mode 1 at t = 10 is not finite\n", err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

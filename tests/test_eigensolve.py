@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -175,6 +176,22 @@ def test_truncate(transformed_dec50):
     assert small.N == 20
     assert np.array_equal(small.eigenvalues, transformed_dec50.eigenvalues[:20])
     assert small.gamma == transformed_dec50.gamma
+
+
+def test_truncate_rejects_non_integer_order(transformed_dec50):
+    with pytest.raises(ValueError, match=r"n must be an integer >= 1, got 2\.5"):
+        transformed_dec50.truncate(2.5)
+    with pytest.raises(ValueError, match="bad truncation order"):
+        transformed_dec50.truncate(51)
+    assert transformed_dec50.truncate(np.int64(3)).N == 3
+
+
+def test_modal_coefficients_length_must_match(dirichlet_dec):
+    # a short vector used to fail later, inside numpy's broadcasting
+    with pytest.raises(ValueError, match=r"shape \(5,\) .* N = 20"):
+        ModalCoefficients(np.ones(5), dirichlet_dec)
+    with pytest.raises(ValueError, match=r"shape \(1, 20\)"):
+        ModalCoefficients(np.ones((1, 20)), dirichlet_dec)
 
 
 def test_mode_array_layout(transformed_dec50):
@@ -757,7 +774,8 @@ def test_integrator_closed_form(rhs):
 
 
 def test_dop853_tableau_matches_scipy():
-    # the tableau is written out so that importing slspectra does not load scipy.integrate
+    # the tableau is read from scipy's file without importing scipy.integrate;
+    # the import here checks it against the module scipy itself uses
     from scipy.integrate._ivp import dop853_coefficients as ref
 
     for name in ("A", "B", "C", "E3", "E5", "D"):
@@ -766,16 +784,26 @@ def test_dop853_tableau_matches_scipy():
 
 def test_import_loads_no_scipy_solvers():
     # scipy.integrate adds about 0.4 s and 22 MiB of peak RSS to `import slspectra`,
-    # and scipy.linalg about 0.3 s and 27 MiB
+    # and scipy.linalg about 0.3 s and 27 MiB; the DOP853 tableau is read from
+    # scipy's file without importing scipy, so no scipy module is loaded at all
     src = os.path.dirname(os.path.dirname(slspectra.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = ("import sys, slspectra; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
-            "if m in sys.modules])")
+    code = "import sys, slspectra; print([m for m in sys.modules if m.startswith('scipy')])"
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]", res.stdout
+
+
+def test_missing_dop853_coefficient_file_names_the_path(tmp_path, monkeypatch):
+    import scipy
+
+    fake = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(eigensolve.importlib.util, "find_spec", lambda name: fake)
+    path = os.path.join(str(tmp_path), "integrate", "_ivp", "dop853_coefficients.py")
+    with pytest.raises(ImportError, match=re.escape(path)) as err:
+        eigensolve._dop853_coefficients()
+    assert f"scipy {scipy.__version__}" in str(err.value)
 
 
 def test_dense_output_matches_scipy_interpolant():

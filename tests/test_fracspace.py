@@ -129,8 +129,11 @@ def test_scaling_identity(dirichlet_dec):
             n = int(rng.integers(1, 21))
             lhs, rhs = scaling_identity_check(fs, c, n)
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode index out of range"):
         scaling_identity_check(fs, c, 21)
+    with pytest.raises(ValueError, match=r"n must be an integer >= 1, got 2\.0"):
+        scaling_identity_check(fs, c, 2.0)
+    assert scaling_identity_check(fs, c, np.int64(2)) == scaling_identity_check(fs, c, 2)
 
 
 def test_domain_alpha_tail_verdicts(dirichlet_dec):
@@ -182,3 +185,12 @@ def test_decomposition_mismatch_rejected(dirichlet_dec, neumann_dec):
     foreign = ModalCoefficients(np.ones(3), neumann_dec)
     with pytest.raises(ValueError):
         inner_product_alpha(fs, foreign, foreign)
+
+
+def test_tail_verdict_borderline(dirichlet_dec):
+    # f = 1 has c_n ~ 1/n on odd n, so at alpha = 1/4 the summands
+    # (mu - lambda_n)^(1/2) c_n^2 fall as n^-1, on the convergence threshold
+    one = grid_function(dirichlet_dec.grid, np.ones_like)
+    report = in_domain_alpha(fractional_space(dirichlet_dec, 0.25), coefficients_of(one, dirichlet_dec))
+    assert report.verdict == "borderline"
+    assert abs(report.tail_exponent + 1.0) <= 0.01

@@ -3,11 +3,13 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from slspectra.eigensolve import ModalCoefficients
+from slspectra.eigensolve import ModalCoefficients, solve_spectrum
+from slspectra.expressions import parse_coeff
 from slspectra.fracspace import fractional_space, norm_alpha
 from slspectra.semigroup import (
     evolve,
@@ -50,6 +52,31 @@ def test_underflow_flush(dirichlet_dec):
     c0 = ModalCoefficients(np.ones(20), dirichlet_dec)
     out = evolve(c0, 100.0)  # e^{-pi^2 * 100} underflows
     assert np.all(out.coefficients == 0.0)
+
+
+def test_overflow_raises(dirichlet_problem):
+    # with q = -100, lambda_1 = 100 - pi^2 and e^(10 lambda_1) overflows
+    dec = solve_spectrum(replace(dirichlet_problem, q=parse_coeff("-100")), N=4)
+    c0 = ModalCoefficients(np.ones(4), dec)
+    with pytest.raises(ValueError, match="coefficient of mode 1 at t = 10 is not finite"):
+        evolve(c0, 10.0)
+    with pytest.raises(ValueError, match="coefficient of mode 1 at t = 10 is not finite"):
+        trajectory(c0, [0.0, 1.0, 10.0])
+    # a mode that is absent stays absent: lambda_4 < 0, and c_1(0) = 0 is not 0 * inf
+    e4 = ModalCoefficients(np.array([0.0, 0.0, 0.0, 1.0]), dec)
+    out = evolve(e4, 10.0).coefficients
+    assert np.array_equal(out[:3], np.zeros(3)) and 0.0 < out[3] < 1.0
+
+
+def test_norm_overflow_raises(dirichlet_dec):
+    # every coefficient is finite, but their squares are not
+    c0 = ModalCoefficients(np.full(20, 1e200), dirichlet_dec)
+    with pytest.raises(ValueError, match="rho norm at t = 0 is not finite"):
+        trajectory(c0, [0.0])
+    # (mu - lambda_n)^3 c_n^2 overflows where c_n^2 does not
+    c0 = ModalCoefficients(np.full(20, 1e150), dirichlet_dec)
+    with pytest.raises(ValueError, match="alpha norm at t = 0 is not finite"):
+        trajectory(c0, [0.0], alpha_space=fractional_space(dirichlet_dec, 1.5))
 
 
 def test_negative_time_rejected(dirichlet_dec):
