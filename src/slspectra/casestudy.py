@@ -42,6 +42,7 @@ from .core import (
     Interval,
     SLProblem,
     _check_count,
+    boundary_values,
     find_root,
     form_inner_product,
     inner_product_rho,
@@ -199,10 +200,10 @@ def solve_case_study(model: DCRModel, N: int) -> CaseStudySpectrum:
 
 def closed_form_eigenfunction(spec: CaseStudySpectrum, n, grid: Grid) -> GridFunction:
     """phi_n(z) = k_n [cos(s_n z) + sin(s_n z)/(2 D s_n)] with exact derivatives;
-    for an array of indices n, the family of those modes."""
+    for an integer array of indices n (empty too), the family of those modes."""
     n = np.asarray(n)
-    for m in n.ravel().tolist():
-        _check_count("n", m, 1)
+    if n.dtype.kind not in "iu" or np.any(n < 1):  # a bool is not an index
+        raise ValueError(f"n must be an integer >= 1, got {n.tolist()!r}")
     if np.any(n > spec.N):
         raise ValueError("mode index out of range")
     # a trailing axis, so an array of indices gives one row per mode
@@ -315,11 +316,10 @@ def observability_test(
     """Modal observability at an end z0 of the interval: every |phi_{n,alpha}(z0)| > tol.
 
     phi_{n,alpha}(z0) = (mu - lambda_n)^(-alpha) phi_n(z0), with phi_n(z0)
-    read from the end node of each mode row: the grid's first and last
-    nodes are a and b.
+    the modes' boundary value at that end.
     """
     end = check_observation(fs.dec.problem.interval, z0, tol)
-    traces = fs.weights(-fs.alpha) * fs.dec.values[:, end]
+    traces = fs.weights(-fs.alpha) * boundary_values(fs.dec.modes)[end]
     return observability_from_values(traces, float(z0), fs.alpha, tol)
 
 
@@ -327,7 +327,7 @@ def check_observation(interval: Interval, z0: float, tol: float) -> int:
     """Check observability_test's z0 and tol without a decomposition.
 
     Raises ValueError unless z0 is an end of the interval and tol is finite
-    and >= 0.  Returns the index of z0's node in a mode row: 0 at a, -1 at b.
+    and >= 0.  Returns z0's index in core.boundary_values' (f(a), f(b)): 0 or -1.
     """
     if z0 not in (interval.a, interval.b):
         raise ValueError(f"z0 must be an end of the interval, {interval.a!r} or {interval.b!r}")

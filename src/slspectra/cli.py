@@ -8,10 +8,13 @@ Each cmd_* returns its document, verdict, tolerances and config text, and
 order, shortest round-trip floats) to `--out` or stdout and, with `--out`,
 a sidecar run manifest with the same keys for all four (`seed` null except
 for `verify`, `config_sha256` null without a config), so results can be
-reproduced byte for byte.  `simulate --csv` writes its CSV time series first.
+reproduced byte for byte.  `simulate --csv` writes its CSV time series
+first; every file is written atomically, so a failed write leaves no
+partial or truncated file.
 
-Exit codes: 0 all checks pass, 1 input error, 2 numerical tolerance
-violation.
+Exit codes: 0 all checks pass, 1 input error or solver failure
+(EigenvalueBracketError, one `error:` line and no document), 2 numerical
+tolerance violation.
 """
 
 from __future__ import annotations
@@ -41,10 +44,17 @@ from .core import (
     form_inner_product,
     grid_function,
     inner_product_rho,
+    integrate,
     make_grid,
 )
 from .expressions import parse_coeff
-from .eigensolve import ModalCoefficients, coefficients_of, solve_spectrum
+from .eigensolve import (
+    EigenvalueBracketError,
+    ModalCoefficients,
+    coefficients_of,
+    solve_spectrum,
+    synthesize,
+)
 from .fracspace import fractional_space, rescaled_basis, scaling_identity_check
 from .semigroup import (
     evolve,
@@ -163,7 +173,7 @@ def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".slspectra-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -237,8 +247,8 @@ def cmd_simulate(args):
         discrepancies = []
         # step on from the previous time's state (kappa is applied in closed form)
         x_fd, t_prev = _initial_state(x0_expr, model, op.nodes), 0.0
-        for ti, state in zip(times, traj.states):
-            xs = np.interp(op.nodes, dec.grid.nodes, state @ dec.values)
+        for ti, c in zip(times, traj.states):
+            xs = np.interp(op.nodes, dec.grid.nodes, synthesize(ModalCoefficients(c, dec)).values)
             if ti > t_prev:
                 x_fd = crank_nicolson(op, x_fd, float(ti - t_prev), args.oracle_dt)
                 t_prev = ti
@@ -253,13 +263,15 @@ def cmd_simulate(args):
 
     # the CSV goes before the document, so that a failed write leaves no output at all
     if args.csv:
-        trajectory_to_csv(traj, args.csv)
+        _atomic_write(args.csv, trajectory_to_csv(traj))
     return doc, passed, tolerances, config_text
 
 
 # ------------------------------------------------------------- observe
 
 def cmd_observe(args):
+    if (args.config is None) == (args.synthetic is None):
+        raise ValueError("observe needs a config file or --synthetic, not both")
     if args.synthetic is not None:
         try:
             with open(args.synthetic) as fh:
@@ -290,13 +302,12 @@ def _suite_core(seed: int):
     rng = np.random.default_rng(seed)
     coef = rng.uniform(-1.0, 1.0, size=16)
     exact = float(np.sum(coef / np.arange(1.0, 17.0)))
-    vals = np.polynomial.polynomial.polyval(g.nodes, coef)
-    got = float(np.dot(vals, g.weights))
+    got = integrate(GridFunction(g, np.polynomial.polynomial.polyval(g.nodes, coef)))
     checks.append(("quadrature_degree15_exact", abs(got - exact) < 1e-14, abs(got - exact)))
     r = find_root(np.cos, 1.0, 2.0)
     checks.append(("root_cos_halfpi", abs(r - math.pi / 2.0) < 1e-12, abs(r - math.pi / 2.0)))
     f = grid_function(g, np.sin, np.cos, lambda z: -np.sin(z))
-    got = float(np.dot(f.values, g.weights))
+    got = integrate(f)
     exact = 1.0 - math.cos(1.0)
     checks.append(("integral_sin", abs(got - exact) < 1e-14, abs(got - exact)))
     return checks
@@ -491,8 +502,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             # argparse exits 2 on usage errors; that slot means tolerance
             # violation here, so remap (help/version keep their 0)
             return EXIT_OK if exc.code == 0 else EXIT_INPUT
-        if args.command == "observe" and (args.config is None) == (args.synthetic is None):
-            raise ValueError("observe needs a config file or --synthetic, not both")
         doc, passed, tolerances, config_text = args.fn(args)
         text = _dump_json(doc)
         if not args.out:
@@ -503,16 +512,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             manifest = {
                 "command": argv,
                 "config_sha256": sha,
-                "seed": args.seed if args.command == "verify" else None,
+                "seed": getattr(args, "seed", None),
                 "tolerances": tolerances,
                 "version": __version__,
                 "wall_time_s": time.monotonic() - t0,
             }
             _atomic_write(args.out + ".manifest.json", _dump_json(manifest))
         return EXIT_OK if passed else EXIT_TOLERANCE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EigenvalueBracketError) as exc:
         # ValueError: a value the library rejects (an option, a config entry);
-        # OSError: an output path that cannot be written
+        # OSError: an output path that cannot be written; EigenvalueBracketError:
+        # a spectrum the solver cannot compute
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -47,8 +47,8 @@ DEFAULT_POINTS = 8
 
 
 def _check_count(name: str, value, minimum: int) -> None:
-    """Raise ValueError unless value is an integer (numpy's too) >= minimum."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """Raise ValueError unless value is an integer (numpy's too, not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 

@@ -115,11 +115,13 @@ ZERO_EIGENVALUE_TOL = 10.0 * ROOT_RTOL
 
 
 class EigenvalueBracketError(RuntimeError):
-    """An eigenvalue could not be bracketed, its bracket did not close, or the
-    eigenpair came out not finite.
+    """An eigenvalue could not be bracketed, its bracket did not close, the
+    eigenpair came out not finite (a mode of norm 0 included), or a Pruefer
+    integration's step underflowed.
 
-    The message names the index, the window of L = -lambda searched (in the
-    caller's units) and the Pruefer form at its upper end.
+    The message names the window of L = -lambda (in the caller's units) and
+    the Pruefer form; the index too, except for a step underflow, which names
+    where it happened instead.
     """
 
 
@@ -256,9 +258,9 @@ def _integrate(rhs, lams, theta0, z_out=None):
             h *= max(1.0 / 3.0, 0.9 * emax ** -0.125)
             if h < 1e-14:
                 unit = rhs.unit  # report where and for what, in the caller's units
-                raise RuntimeError(
+                raise EigenvalueBracketError(
                     f"{rhs.form} Pruefer ODE step size underflow at z={float(unit.z(z))!r}, "
-                    f"h={h * unit.ell:.3g}, lambda in [{float(unit.lam(lams.min()))!r}, "
+                    f"h={h * unit.ell:.3g}, L in [{float(unit.lam(lams.min()))!r}, "
                     f"{float(unit.lam(lams.max()))!r}]"
                 )
         if out is not None:
@@ -551,6 +553,8 @@ class _Shooter:
 
         Both Pruefer forms are integrated before the mode rows are allocated,
         so the integrators' work arrays and the rows are never live together.
+        An amplitude that overflows, or a norm that is 0 or not finite, leaves
+        its row not finite.
         """
         shots = list(self._shoot(lams, self.s_out))
         p, q, rho, dp = self.p_s, self.q_s, self.rho_s, self.dp_s
@@ -558,21 +562,22 @@ class _Shooter:
         wrho = self.prob.rho(self.grid.nodes) * self.grid.weights
         values, deriv, deriv2 = np.empty((3, lams.size, self.grid.size))
         factor = np.empty(lams.size)
-        for sel, rhs, states in shots:
-            for j, i in enumerate(sel):
-                lam = lams[i]
-                theta = states[:, 0, j]
-                amp = np.exp(states[:, 1, j])
-                # f = amp sin(theta) / S at the nodes; d/ds, then d/dz
-                f = values[i]
-                f[:] = amp * np.sin(theta) / rhs.scale(lam, p, q, rho)
-                ds = amp * np.cos(theta) / p
-                deriv[i] = ds / ell
-                deriv2[i] = ((q - lam * rho) * f - dp * ds) / p / (ell * ell)
-                nrm = math.sqrt(float(np.dot(f * f, wrho)))
-                factor[i] = (-1.0 if (f[0] <= 1e-10 * nrm and ds[0] < 0.0) else 1.0) / nrm
-        for v in (values, deriv, deriv2):
-            v *= factor[:, None]
+        with np.errstate(all="ignore"):
+            for sel, rhs, states in shots:
+                for j, i in enumerate(sel):
+                    lam = lams[i]
+                    theta = states[:, 0, j]
+                    amp = np.exp(states[:, 1, j])
+                    # f = amp sin(theta) / S at the nodes; d/ds, then d/dz
+                    f = values[i]
+                    f[:] = amp * np.sin(theta) / rhs.scale(lam, p, q, rho)
+                    ds = amp * np.cos(theta) / p
+                    deriv[i] = ds / ell
+                    deriv2[i] = ((q - lam * rho) * f - dp * ds) / p / (ell * ell)
+                    nrm = np.sqrt(np.dot(f * f, wrho))
+                    factor[i] = (-1.0 if (f[0] <= 1e-10 * nrm and ds[0] < 0.0) else 1.0) / nrm
+            for v in (values, deriv, deriv2):
+                v *= factor[:, None]
         return values, deriv, deriv2
 
 
@@ -668,8 +673,9 @@ def solve_spectrum(prob: SLProblem, N: int = 64) -> SpectralDecomposition:
     phi_n(a) > 0 (or phi_n'(a) > 0 for a Dirichlet left end).  Either edge of
     the bracketing ladder is pushed out at most MAX_BRACKET_EXPANSIONS times
     before EigenvalueBracketError is raised, as it is for a bracket still open
-    after 200 search rounds or an eigenvalue or mode row that is not finite
-    (naming the layer, search or recovery); N must be an integer.  The grid
+    after 200 search rounds, an eigenvalue or mode row that is not finite
+    (naming the layer, search or recovery; a mode of norm 0 is one) and a
+    Pruefer step that underflows; N must be an integer.  The grid
     has max(DEFAULT_PANELS, N) panels of DEFAULT_POINTS Gauss points, about
     one panel per mode, so high modes stay resolved.  Every phase integration
     runs at relative tolerance ODE_RTOL, and every bracket is closed to

@@ -8,15 +8,15 @@ floating point; the only approximation is the spectral truncation itself.
 from __future__ import annotations
 
 import csv
+import io
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .eigensolve import ZERO_EIGENVALUE_TOL, ModalCoefficients, SpectralDecomposition
-from .fracspace import FractionalSpace, _check_same
+from .fracspace import FractionalSpace, norm_alpha
 
 __all__ = [
     "SemigroupTrajectory",
@@ -97,9 +97,8 @@ def trajectory(
         norms_rho = np.sqrt([np.dot(row, row) for row in states])
         norms_a = None
         if alpha_space is not None:
-            _check_same(alpha_space, c0)
-            w = alpha_space.weights(2.0 * alpha_space.alpha)
-            norms_a = np.sqrt(np.maximum(np.sum(w * states * states, axis=1), 0.0))
+            norms_a = np.array([norm_alpha(alpha_space, ModalCoefficients(row, c0.decomposition))
+                                for row in states])
     for kind, norms in (("rho", norms_rho), ("alpha", norms_a)):
         if norms is not None and not np.isfinite(norms).all():
             i = np.isfinite(norms).argmin()
@@ -145,15 +144,11 @@ def growth_bound(traj: SemigroupTrajectory) -> np.ndarray:
     return traj.norms_rho / envelope
 
 
-def trajectory_to_csv(traj: SemigroupTrajectory, path_or_file) -> None:
-    """Rows: t, then the N modal coefficients, full precision."""
-    own = isinstance(path_or_file, (str, bytes, os.PathLike))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"c_{n}" for n in range(1, traj.decomposition.N + 1)])
-        for ti, row in zip(traj.times, traj.states):
-            writer.writerow([f"{ti:.17g}"] + [f"{v:.17g}" for v in row])
-    finally:
-        if own:
-            fh.close()
+def trajectory_to_csv(traj: SemigroupTrajectory) -> str:
+    """CSV text: the header t, c_1, ..., c_N, then one full-precision row per time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"c_{n}" for n in range(1, traj.decomposition.N + 1)])
+    for ti, row in zip(traj.times, traj.states):
+        writer.writerow([f"{ti:.17g}"] + [f"{v:.17g}" for v in row])
+    return buf.getvalue()

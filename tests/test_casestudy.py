@@ -235,9 +235,14 @@ def test_closed_form_family_rows_are_the_single_modes(cs_spec50, std_grid):
             assert np.array_equal(getattr(family, name)[row], getattr(one, name))
     with pytest.raises(ValueError, match="out of range"):
         closed_form_eigenfunction(cs_spec50, np.array([1, 51]), std_grid)
+    empty = closed_form_eigenfunction(cs_spec50, np.array([], dtype=int), std_grid)
+    assert empty.values.shape == empty.deriv2.shape == (0, std_grid.size)
 
 
-@pytest.mark.parametrize("n", [2.0, np.array([1.0, 2.0]), 0], ids=["float", "float-array", "zero"])
+@pytest.mark.parametrize(
+    "n", [2.0, np.array([1.0, 2.0]), 0, [], True, np.array([True])],
+    ids=["float", "float-array", "zero", "empty-list", "bool", "bool-array"],
+)
 def test_closed_form_mode_index_must_be_an_integer(cs_spec50, std_grid, n):
     with pytest.raises(ValueError, match="n must be an integer >= 1, got "):
         closed_form_eigenfunction(cs_spec50, n, std_grid)

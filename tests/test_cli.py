@@ -126,6 +126,21 @@ def test_simulate_overflow_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kappa", [1e10, 1e3])
+def test_solver_failure_exits_1_with_one_line(kappa, tmp_path, capsys):
+    # Robin f'(0) = -kappa f(0): the solver fails, and main says so in one line
+    cfg = tmp_path / "robin.json"
+    cfg.write_text(json.dumps({
+        "interval": [0, 1], "p": "1", "q": "0", "rho": "1", "bc_a": [1, kappa], "bc_b": [0, 1],
+    }))
+    out = tmp_path / "eigs.json"
+    assert main(["eigs", str(cfg), "--modes", "2", "--out", str(out)]) == 1
+    std = capsys.readouterr()
+    assert std.err.startswith("error: eigenvalue 1 not finite after recovery: L in [")
+    assert std.err.count("\n") == 1 and std.out == "", std
+    assert os.listdir(tmp_path) == ["robin.json"]
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"interval": [0, 1], "p": "1", "q": "0", "rho": "1", "bc_a": [math.nan, 1], "bc_b": [0, 1]},
@@ -409,6 +424,43 @@ def test_unwritable_output_exits_1_with_no_output(argv, dirichlet_config, tmp_pa
     assert captured.out == "", captured.out
     err = captured.err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "core", "--out", "{target}"],
+     ["simulate", "{config}", "--x0", "z*(1-z)", "--times", "0.1", "--modes", "3",
+      "--csv", "{target}"]],
+    ids=["verify-out", "simulate-csv"],
+)
+def test_failed_write_leaves_the_old_file_and_no_temporary(argv, dirichlet_config, tmp_path,
+                                                          monkeypatch, capsys):
+    # the file is written whole under a temporary name, then renamed into place
+    target = tmp_path / "old.txt"
+    target.write_text("old\n")
+    argv = [a.format(config=dirichlet_config, target=target) for a in argv]
+    before = sorted(os.listdir(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot rename ") and err.count("\n") == 1, err
+    assert target.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == before  # no .slspectra-* file is left
+
+
+def test_simulate_csv_is_the_trajectory(dirichlet_config, tmp_path):
+    out, csv_path = tmp_path / "sim.json", tmp_path / "sim.csv"
+    assert main(["simulate", dirichlet_config, "--x0", "z*(1-z)", "--times", "0,0.1,0.2",
+                 "--modes", "4", "--out", str(out), "--csv", str(csv_path)]) == 0
+    doc = json.loads(out.read_text())
+    rows = csv_path.read_bytes().decode().split("\r\n")
+    assert rows[0] == "t,c_1,c_2,c_3,c_4" and rows[-1] == "" and len(rows) == 5, rows
+    for row, t, c in zip(rows[1:], doc["times"], doc["coefficients"]):
+        assert [float(v) for v in row.split(",")] == [t, *c]
 
 
 # one request per subcommand; "{config}" is the dirichlet preset

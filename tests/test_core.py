@@ -32,6 +32,16 @@ def test_interval_validation():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            Interval(a, b)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_counts_reject_bools(flag):
+    # True is a numbers.Integral, but no count: it used to read as 1
+    with pytest.raises(ValueError, match="panels must be an integer >= 1, got "):
+        make_grid(Interval(0.0, 1.0), flag)
 
 
 def test_quadrature_exact_through_degree_15():

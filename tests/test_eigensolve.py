@@ -16,6 +16,7 @@ import slspectra
 import slspectra.eigensolve as eigensolve
 from slspectra.core import (
     GridFunction,
+    GridMismatchError,
     SLProblem,
     apply_operator,
     bc_residual,
@@ -163,6 +164,21 @@ def test_projection_rejects_a_family(dirichlet_dec):
         coefficients_of(dirichlet_dec.modes, dirichlet_dec)
 
 
+def test_projection_rejects_another_grid(dirichlet_dec):
+    coarse = make_grid(dirichlet_dec.problem.interval, dirichlet_dec.grid.panels // 2)
+    with pytest.raises(GridMismatchError, match="not on the decomposition grid"):
+        coefficients_of(grid_function(coarse, np.sin), dirichlet_dec)
+
+
+def test_decomposition_rejects_equal_eigenvalues(dirichlet_dec):
+    from dataclasses import replace
+
+    lams = dirichlet_dec.eigenvalues.copy()
+    lams[1] = lams[0]
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        replace(dirichlet_dec, eigenvalues=lams)
+
+
 def test_synthesize_round_trip(dirichlet_dec):
     rng = np.random.default_rng(5)
     c = ModalCoefficients(rng.standard_normal(20), dirichlet_dec)
@@ -184,6 +200,12 @@ def test_truncate_rejects_non_integer_order(transformed_dec50):
     with pytest.raises(ValueError, match="bad truncation order"):
         transformed_dec50.truncate(51)
     assert transformed_dec50.truncate(np.int64(3)).N == 3
+    # a bool is no order, though Python counts True as 1
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got "):
+            transformed_dec50.truncate(flag)
+        with pytest.raises(ValueError, match="N must be an integer >= 1, got "):
+            solve_spectrum(transformed_dec50.problem, N=flag)
 
 
 def test_modal_coefficients_length_must_match(dirichlet_dec):
@@ -527,6 +549,17 @@ def test_bracket_errors_in_caller_units(unit_q, q, bc_a, what, monkeypatch):
         assert _window(msgs[1]) == [-0.0004, -0.0004], msgs
 
 
+@pytest.mark.parametrize("kappa", [1e10, 1e3])
+def test_recovery_failure_is_a_bracket_error(kappa):
+    # Robin f'(0) = -kappa f(0), Dirichlet at 1: phi_1 falls as e^(-kappa z).
+    # At 1e10 it is 0 at every node of nonzero weight, so its norm is 0; at
+    # 1e3 the amplitude shot from a overflows on the way to b
+    prob = SLProblem.from_strings(0.0, 1.0, "1", "0", "1", (1.0, kappa), (0.0, 1.0))
+    with pytest.raises(eigensolve.EigenvalueBracketError,
+                       match=r"^eigenvalue 1 not finite after recovery: L in \["):
+        solve_spectrum(prob, N=2)
+
+
 def test_round_cap_error_in_caller_units(monkeypatch):
     prob = SLProblem.from_strings(0.0, 50.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
     sh = eigensolve._Shooter(prob, make_grid(prob.interval))
@@ -550,11 +583,11 @@ def test_step_underflow_in_caller_units(monkeypatch):
 
     monkeypatch.setattr(eigensolve._PlainRHS, "tables", nan_past)
     prob = SLProblem.from_strings(0.0, 50.0, "1", "0", "1", (1.0, 0.0), (1.0, 0.0))
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(eigensolve.EigenvalueBracketError) as info:
         solve_spectrum(prob, N=3)
     msg = str(info.value)
     assert msg.startswith("plain Pruefer ODE step size underflow"), msg
-    assert "lambda in [-0.0004, -0.0004]" in msg, msg
+    assert "L in [-0.0004, -0.0004]" in msg, msg
     z = float(re.search(r"z=(\S+),", msg).group(1))
     h = float(re.search(r"h=(\S+),", msg).group(1))
     assert 19.0 < z <= 20.0 and 0.0 < h < 50 * 1e-14, msg
@@ -883,11 +916,11 @@ class _NaNRHS(eigensolve._PlainRHS):
 
 
 def test_step_underflow_names_where():
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(eigensolve.EigenvalueBracketError) as info:
         eigensolve._integrate(_NaNRHS(), np.array([2.0, 5.0]), np.zeros(2))
     msg = str(info.value)
     assert msg.startswith("plain Pruefer ODE step size underflow"), msg
-    assert "lambda in [2.0, 5.0]" in msg, msg
+    assert "L in [2.0, 5.0]" in msg, msg
     z = float(re.search(r"z=(\S+),", msg).group(1))
     h = float(re.search(r"h=(\S+),", msg).group(1))
     assert 0.3 < z <= 1.0 / 3.0 and 0.0 < h < 1e-14, msg

@@ -46,6 +46,12 @@ def test_derivative_of_constant_is_zero():
     assert d(0.3) == 0.0
 
 
+def test_derivative_drops_constant_terms():
+    # d/dz of a constant summand folds to 0, and x + 0, 0 + x, x - 0 to x
+    for src in ("z*z + 2", "z*z - 2", "2 + z*z"):
+        assert parse_coeff(src).derivative().source == "(z+z)", src
+
+
 def test_unparse_reparse_round_trip():
     for src in ("2*exp(-z/2) + sin(z)^2", "-z^2 + 3", "sqrt(1 + z*z)"):
         e = parse_coeff(src)

@@ -145,6 +145,11 @@ def test_domain_alpha_tail_verdicts(dirichlet_dec):
     e1 = np.zeros(20)
     e1[0] = 1.0
     assert in_domain_alpha(fs2, ModalCoefficients(e1, dirichlet_dec)).verdict == "in"
+    # phi_N: one nonzero term in the fitted tail, too few for a slope
+    eN = np.zeros(20)
+    eN[-1] = 1.0
+    report = in_domain_alpha(fs2, ModalCoefficients(eN, dirichlet_dec))
+    assert report.verdict == "in" and report.tail_exponent == -np.inf, report
 
 
 @pytest.mark.parametrize("N", [50, 150])

@@ -223,6 +223,14 @@ def test_crank_nicolson_rejects_non_finite_state(dirichlet_problem):
         crank_nicolson(op, x0, 0.01, 1e-3)
 
 
+def test_crank_nicolson_rejects_a_state_of_the_wrong_shape(dirichlet_problem):
+    op = assemble(dirichlet_problem, M=32)
+    x0 = np.sin(math.pi * op.nodes)
+    for bad in (x0[:-1], x0[None, :]):
+        with pytest.raises(ValueError, match="x0 shape does not match mesh"):
+            crank_nicolson(op, bad, 0.01, 1e-3)
+
+
 def test_crank_nicolson_time_zero_returns_copy(dirichlet_problem):
     op = assemble(dirichlet_problem, M=32)
     x0 = np.sin(math.pi * op.nodes)

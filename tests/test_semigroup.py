@@ -1,6 +1,5 @@
 """Modal semigroup: algebraic laws, stability/compactness verdicts, outputs."""
 
-import io
 import json
 import math
 from dataclasses import replace
@@ -135,6 +134,9 @@ def test_growth_bound_both_norms(dirichlet_dec):
     # alpha norms obey the same envelope: weights are t-independent
     env = np.exp(dirichlet_dec.gamma * traj.times) * traj.norms_alpha[0]
     assert np.all(traj.norms_alpha <= env * (1.0 + 1e-10))
+    zero = trajectory(ModalCoefficients(np.zeros(20), dirichlet_dec), [0.0, 0.1])
+    with pytest.raises(ValueError, match="zero initial state"):
+        growth_bound(zero)
 
 
 def test_norms_monotone_for_stable_system(dirichlet_dec):
@@ -165,16 +167,13 @@ def test_compactness_surrogate(dirichlet_dec, neumann_dec, transformed_dec50, sh
         is_compact(np.array([]))
 
 
-def test_csv_and_json_outputs(dirichlet_dec, tmp_path):
+def test_csv_and_json_outputs(dirichlet_dec):
     c0 = _rand(dirichlet_dec, 7)
     fs = fractional_space(dirichlet_dec, 0.5)
     traj = trajectory(c0, [0.0, 0.1, 0.2], alpha_space=fs)
-    buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
-    path = tmp_path / "t.csv"  # a path object, not only a str
-    trajectory_to_csv(traj, path)
-    assert path.read_bytes().decode() == buf.getvalue()
-    lines = buf.getvalue().strip().splitlines()
+    text = trajectory_to_csv(traj)
+    assert text.count("\r\n") == 4  # the csv module's own line ends
+    lines = text.strip().splitlines()
     assert lines[0].split(",")[:2] == ["t", "c_1"]
     assert len(lines) == 4
     row1 = [float(v) for v in lines[1].split(",")]
